@@ -14,6 +14,7 @@ from .models import (
     pair_world,
     product_update,
 )
+from .parser import model_to_jsonable, print_formula
 from .semantics import holds
 from .syntax import Formula
 
@@ -119,8 +120,6 @@ class DegreeCheckResult:
         return self.verdict == CONSISTENT
 
     def to_jsonable(self) -> dict:
-        from .parser import model_to_jsonable, print_formula
-
         out = {"formula": print_formula(self.formula), "k": self.k, "verdict": self.verdict}
         if self.counterexample is not None:
             out["counterexample"] = {

@@ -3,10 +3,17 @@ oracle equivalence suites built on them.
 
 Randomness is counter-based: every draw comes from a generator seeded by
 hashing (seed, case index, stream label), so cases are independent,
-reproducible bit-for-bit, and regenerable individually.  Failures are
-data, not errors: each suite records its first failing case together with
-a locally minimal shrink of it (worlds removed one at a time, subformulas
-replaced by constants).
+reproducible bit-for-bit, and regenerable individually.
+
+Each suite is one case builder in `_SUITES`: it generates the inputs of
+case `i` and returns a `_Case` holding the check to run.  One runner,
+`_run_case`, runs every check.  Failures are data, not errors: a wrong
+result or a raised `ProdupdError` becomes a failure record (`case_index`,
+`model`, `event_model`, `formula`, `message`, optional `lhs`/`rhs`, the
+suite-specific `announced`/`point`, and `shrunk`), and each suite reports
+its first one.  `shrunk` is a locally minimal version of the case: worlds
+are removed one at a time and subformulas replaced by constants while the
+same check still fails.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import hashlib
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .analysis import (
@@ -56,9 +64,11 @@ from .syntax import (
     Nu,
     Or,
     Top,
+    children,
     classify,
     contains_node,
     formula_size,
+    free_props,
     modal_depth,
     quantifier_count,
     replace_subformula,
@@ -352,15 +362,11 @@ def _positive_body(cfg, case_index, var, *, label="body") -> Formula:
 
 
 def _quant_nesting(phi: Formula) -> int:
-    from .syntax import children
-
     step = 1 if isinstance(phi, (ExistsProp, ForallProp)) else 0
     return step + max((_quant_nesting(c) for c in children(phi)), default=0)
 
 
 def _modal_op_count(phi: Formula) -> int:
-    from .syntax import children
-
     step = 1 if isinstance(phi, (Box, Diamond, Global, ExistsGlobal)) else 0
     return step + sum(_modal_op_count(c) for c in children(phi))
 
@@ -415,32 +421,42 @@ def translation_case_inputs(cfg: FuzzConfig, case_index: int):
     return m, a, psi
 
 
-# -- suite checks --------------------------------------------------------
+# -- suite cases ---------------------------------------------------------
 
 
 @dataclass
-class _Outcome:
-    ok: bool
-    detail: dict | None = None
-    stats: list | None = None
+class _Case:
+    """One generated oracle instance.
+
+    `check(model, formula)` returns a failure record, or None when the
+    oracle holds.  The runner calls it on `model` and `formula`; on a
+    failure it calls it again to shrink them, never removing a `protected`
+    world.  With no model there is nothing to shrink.  A check that raises
+    is recorded against `recorded`, a (model, event model, formula) triple.
+    The formulas in `extra` are printed into the record, and `stats`
+    collects (size ratio, output quantifiers) per translation.
+    """
+
+    check: Callable[[KripkeModel | None, Formula | None], dict | None]
+    model: KripkeModel | None
+    formula: Formula | None
+    recorded: tuple
+    protected: tuple = ()
+    extra: dict[str, Formula] = field(default_factory=dict)
+    stats: list = field(default_factory=list)
 
 
-def _sorted_worlds(xs) -> list[str]:
-    return sorted(xs)
-
-
-def _failure(case_index, m, a, phi, message, lhs=None, rhs=None) -> dict:
+def _failure(m, a, phi, message, lhs=None, rhs=None) -> dict:
     out = {
-        "case_index": case_index,
         "model": model_to_jsonable(m) if m is not None else None,
         "event_model": event_model_to_jsonable(a) if a is not None else None,
         "formula": print_formula(phi) if phi is not None else None,
         "message": message,
     }
     if lhs is not None:
-        out["lhs"] = _sorted_worlds(lhs)
+        out["lhs"] = sorted(lhs)
     if rhs is not None:
-        out["rhs"] = _sorted_worlds(rhs)
+        out["rhs"] = sorted(rhs)
     return out
 
 
@@ -484,66 +500,63 @@ def _shrink(recheck, m: KripkeModel, phi: Formula | None, *, protected=()):
     return m, phi
 
 
-def _shrunk_payload(m, phi) -> dict:
-    return {
-        "model": model_to_jsonable(m),
-        "formula": print_formula(phi) if phi is not None else None,
-    }
+def _run_case(case: _Case, i: int) -> dict | None:
+    """The failure record of case `i` with its shrunk counterexample, or
+    None when the case passes."""
+    try:
+        record = case.check(case.model, case.formula)
+    except ProdupdError as e:
+        record = _failure(*case.recorded, f"error: {e}")
+    if record is None:
+        return None
+    record = {"case_index": i, **record}
+    record.update((k, print_formula(v)) for k, v in case.extra.items())
+    if case.model is not None:
+        m, phi = _shrink(
+            lambda m2, phi2: case.check(m2, phi2) is None,
+            case.model,
+            case.formula,
+            protected=case.protected,
+        )
+        record["shrunk"] = {
+            "model": model_to_jsonable(m),
+            "formula": print_formula(phi) if phi is not None else None,
+        }
+    return record
 
 
-def _check_translation(m, a, psi, stats=None):
+def _check_translation(m, a, psi, stats):
     ev = Evaluator(m, events=a)
     for alpha in a.events:
         log: list = []
         chi = translate_event(a, alpha, psi, measure_log=log)
         for parent, child in log:
             if not child < parent:
-                return False, _failure(
-                    None, m, a, psi, f"measure did not decrease at <{alpha}>"
-                )
+                return _failure(m, a, psi, f"measure did not decrease at <{alpha}>")
         if classify(chi) is not LanguageTag.BASE_MSO or contains_node(chi, Nominal):
-            return False, _failure(
-                None, m, a, psi, f"output for <{alpha}> is not in the base language"
+            return _failure(
+                m, a, psi, f"output for <{alpha}> is not in the base language"
             )
         lhs = ev.extension(ActionDiamond(alpha, psi))
         rhs = ev.extension(chi)
         if lhs != rhs:
-            return False, _failure(
-                None,
-                m,
-                a,
-                psi,
-                f"extension mismatch for <{alpha}>",
-                lhs,
-                rhs,
-            )
-        if stats is not None:
-            stats.append(
-                (
-                    formula_size(chi) / (1 + formula_size(psi)),
-                    quantifier_count(chi),
-                )
-            )
-    return True, None
+            return _failure(m, a, psi, f"extension mismatch for <{alpha}>", lhs, rhs)
+        stats.append(
+            (formula_size(chi) / (1 + formula_size(psi)), quantifier_count(chi))
+        )
+    return None
 
 
-def _suite_translation(cfg, i) -> _Outcome:
+def _translation_case(cfg, i) -> _Case:
     m, a, psi = translation_case_inputs(cfg, i)
     stats: list = []
-    try:
-        ok, detail = _check_translation(m, a, psi, stats)
-    except ProdupdError as e:
-        ok, detail = False, _failure(None, m, a, psi, f"error: {e}")
-    if ok:
-        return _Outcome(True, stats=stats)
-    detail["case_index"] = i
-
-    def recheck(m2, psi2):
-        return _check_translation(m2, a, psi2)[0]
-
-    sm, sphi = _shrink(recheck, m, psi)
-    detail["shrunk"] = _shrunk_payload(sm, sphi)
-    return _Outcome(False, detail)
+    return _Case(
+        lambda m2, psi2: _check_translation(m2, a, psi2, stats),
+        m,
+        psi,
+        (m, a, psi),
+        stats=stats,
+    )
 
 
 def _check_announcement(m, announced, psi):
@@ -551,45 +564,37 @@ def _check_announcement(m, announced, psi):
     lhs = ev.extension(Announce(announced, psi))
     chi = translate_announcement(announced, psi)
     if classify(chi) is not LanguageTag.BASE_MSO:
-        return False, _failure(None, m, None, psi, "output is not in the base language")
+        return _failure(m, None, psi, "output is not in the base language")
     rhs = ev.extension(chi)
     if lhs != rhs:
-        return False, _failure(None, m, None, psi, "translation mismatch", lhs, rhs)
+        return _failure(m, None, psi, "translation mismatch", lhs, rhs)
     one_event = announcement_event_model(announced)
     ev2 = Evaluator(m, events=one_event)
     via_product = ev2.extension(ActionDiamond("a0", psi))
     if via_product != lhs:
-        return False, _failure(
-            None, m, one_event, psi, "product route disagrees", lhs, via_product
+        return _failure(
+            m, one_event, psi, "product route disagrees", lhs, via_product
         )
     cross = translate_event(one_event, "a0", psi)
     cross_ext = ev.extension(cross)
     if cross_ext != lhs:
-        return False, _failure(
-            None, m, one_event, psi, "event-translation route disagrees", lhs, cross_ext
+        return _failure(
+            m, one_event, psi, "event-translation route disagrees", lhs, cross_ext
         )
-    return True, None
+    return None
 
 
-def _suite_announcement(cfg, i) -> _Outcome:
+def _announcement_case(cfg, i) -> _Case:
     m = random_model(cfg, i)
     psi = random_formula(cfg, i, LanguageTag.BASE_MSO)
     announced = _random_static(cfg.stream(i, "announced"), 4, cfg.props)
-    try:
-        ok, detail = _check_announcement(m, announced, psi)
-    except ProdupdError as e:
-        ok, detail = False, _failure(None, m, None, psi, f"error: {e}")
-    if ok:
-        return _Outcome(True)
-    detail["case_index"] = i
-    detail["announced"] = print_formula(announced)
-
-    def recheck(m2, psi2):
-        return _check_announcement(m2, announced, psi2)[0]
-
-    sm, sphi = _shrink(recheck, m, psi)
-    detail["shrunk"] = _shrunk_payload(sm, sphi)
-    return _Outcome(False, detail)
+    return _Case(
+        lambda m2, psi2: _check_announcement(m2, announced, psi2),
+        m,
+        psi,
+        (m, None, psi),
+        extra={"announced": announced},
+    )
 
 
 def _check_nominals(m, a):
@@ -600,36 +605,23 @@ def _check_nominals(m, a):
             expected = pre_ext if idx == k else frozenset()
             got = ev.extension(ActionDiamond(e, Nominal(k)))
             if got != expected:
-                return False, _failure(
-                    None, m, a, ActionDiamond(e, Nominal(k)),
+                return _failure(
+                    m, a, ActionDiamond(e, Nominal(k)),
                     "nominal axiom fails semantically", expected, got,
                 )
             via_translation = ev.extension(translate_event(a, e, Nominal(k)))
             if via_translation != expected:
-                return False, _failure(
-                    None, m, a, ActionDiamond(e, Nominal(k)),
+                return _failure(
+                    m, a, ActionDiamond(e, Nominal(k)),
                     "nominal axiom fails through translation", expected, via_translation,
                 )
-    return True, None
+    return None
 
 
-def _suite_nominals(cfg, i) -> _Outcome:
+def _nominals_case(cfg, i) -> _Case:
     m = random_model(cfg, i)
     a = random_event_model(cfg, i)
-    try:
-        ok, detail = _check_nominals(m, a)
-    except ProdupdError as e:
-        ok, detail = False, _failure(None, m, a, None, f"error: {e}")
-    if ok:
-        return _Outcome(True)
-    detail["case_index"] = i
-
-    def recheck(m2, _phi):
-        return _check_nominals(m2, a)[0]
-
-    sm, _ = _shrink(recheck, m, None)
-    detail["shrunk"] = _shrunk_payload(sm, None)
-    return _Outcome(False, detail)
+    return _Case(lambda m2, _: _check_nominals(m2, a), m, None, (m, a, None))
 
 
 def _check_fixpoint(m, var, body):
@@ -640,38 +632,29 @@ def _check_fixpoint(m, var, body):
         ExistsProp(var, And(Atom(var), Global(Implies(Atom(var), body))))
     )
     if not (iterative == oracle == encoded):
-        return False, _failure(
-            None, m, None, Nu(var, body),
-            f"fixpoint routes disagree: iterative={_sorted_worlds(iterative)} "
-            f"oracle={_sorted_worlds(oracle)} encoded={_sorted_worlds(encoded)}",
+        return _failure(
+            m, None, Nu(var, body),
+            f"fixpoint routes disagree: iterative={sorted(iterative)} "
+            f"oracle={sorted(oracle)} encoded={sorted(encoded)}",
         )
     fixed = ev.worlds_of(ev._eval(body, {var: ev.mask_of(iterative)}))
     if fixed != iterative:
-        return False, _failure(
-            None, m, None, Nu(var, body), "result is not a fixpoint",
-            iterative, fixed,
+        return _failure(
+            m, None, Nu(var, body), "result is not a fixpoint", iterative, fixed
         )
-    return True, None
+    return None
 
 
-def _suite_fixpoint(cfg, i) -> _Outcome:
+def _fixpoint_case(cfg, i) -> _Case:
     m = random_model(cfg, i)
     var = cfg.stream(i, "var").choice(cfg.props)
     body = _positive_body(cfg, i, var)
-    try:
-        ok, detail = _check_fixpoint(m, var, body)
-    except ProdupdError as e:
-        ok, detail = False, _failure(None, m, None, Nu(var, body), f"error: {e}")
-    if ok:
-        return _Outcome(True)
-    detail["case_index"] = i
-
-    def recheck(m2, body2):
-        return _check_fixpoint(m2, var, body2)[0]
-
-    sm, sbody = _shrink(recheck, m, body)
-    detail["shrunk"] = _shrunk_payload(sm, sbody)
-    return _Outcome(False, detail)
+    return _Case(
+        lambda m2, body2: _check_fixpoint(m2, var, body2),
+        m,
+        body,
+        (m, None, Nu(var, body)),
+    )
 
 
 def duplicate_world(m: KripkeModel, w: str, clone: str) -> KripkeModel:
@@ -696,8 +679,6 @@ def _invariant_formula(cfg, i, a: EventModel, *, label="invformula") -> Formula:
     # modalities; fixpoints and event diamonds are fine, but a fixpoint
     # variable must stay clear of the precondition vocabulary, through
     # which it would act non-monotonically
-    from .syntax import free_props
-
     rng = cfg.stream(i, label)
     size = rng.randint(1, cfg.max_formula_size)
     pre_props: frozenset[str] = frozenset()
@@ -724,50 +705,43 @@ def _check_bisim(m1, target, a, phi):
     z = greatest_bisimulation(m1, m2)
     expected = {(w, w) for w in m1.worlds} | {(target, clone)}
     if not expected <= z.pairs:
-        return False, _failure(
-            None, m1, a, phi, "duplication pairs missing from greatest bisimulation"
+        return _failure(
+            m1, a, phi, "duplication pairs missing from greatest bisimulation"
         )
     if not is_bisimulation(m1, m2, z):
-        return False, _failure(None, m1, a, phi, "refinement output fails the checks")
+        return _failure(m1, a, phi, "refinement output fails the checks")
     y = lift_bisimulation(z, a, m1, m2)
     p1 = product_update(m1, a)
     p2 = product_update(m2, a)
     if not is_bisimulation(p1.model, p2.model, y):
-        return False, _failure(None, m1, a, phi, "lifted relation is not a bisimulation")
+        return _failure(m1, a, phi, "lifted relation is not a bisimulation")
     ev1 = Evaluator(m1, events=a)
     ev2 = Evaluator(m2, events=a)
     for u, v in sorted(z.pairs):
         if ev1.holds(u, phi) != ev2.holds(v, phi):
-            return False, _failure(
-                None, m1, a, phi, f"bisimilar points ({u},{v}) disagree"
-            )
-    return True, None
+            return _failure(m1, a, phi, f"bisimilar points ({u},{v}) disagree")
+    return None
 
 
-def _suite_bisim_lift(cfg, i) -> _Outcome:
+def _bisim_lift_case(cfg, i) -> _Case:
     m1 = random_model(cfg, i)
     target = cfg.stream(i, "dup").choice(m1.worlds)
     a = random_event_model(cfg, i, pre_kind="local")
     phi = _invariant_formula(cfg, i, a)
-    try:
-        ok, detail = _check_bisim(m1, target, a, phi)
-    except ProdupdError as e:
-        ok, detail = False, _failure(None, m1, a, phi, f"error: {e}")
-    if ok:
-        return _Outcome(True)
-    detail["case_index"] = i
-
-    def recheck(m2, phi2):
-        if target not in m2.worlds:
-            return True  # mutation removed the duplication target; skip
-        return _check_bisim(m2, target, a, phi2)[0]
-
-    sm, sphi = _shrink(recheck, m1, phi, protected=(target,))
-    detail["shrunk"] = _shrunk_payload(sm, sphi)
-    return _Outcome(False, detail)
+    return _Case(
+        lambda m2, phi2: _check_bisim(m2, target, a, phi2),
+        m1,
+        phi,
+        (m1, a, phi),
+        protected=(target,),
+    )
 
 
-def _suite_degree(cfg, i) -> _Outcome:
+def _degree_case(cfg, i) -> _Case:
+    """The case starts with no model: its check runs over the whole test
+    set, and the first counterexample becomes the model to shrink, checked
+    at its point from then on.  A raised error leaves the model unset, so
+    its record carries no shrink."""
     rng = cfg.stream(i, "pick")
     phi = _gen_formula(
         cfg.stream(i, "formula"),
@@ -783,43 +757,36 @@ def _suite_degree(cfg, i) -> _Outcome:
         tm = random_model(cfg, i, label=f"testmodel{j}", max_worlds=5)
         point = cfg.stream(i, f"testpoint{j}").choice(tm.worlds)
         testset.append(PointedModel(tm, point))
-    try:
-        result = check_degree(ActionDiamond(alpha, phi), k, testset, events=a)
-    except ProdupdError as e:
-        return _Outcome(False, _failure(i, None, a, phi, f"error: {e}"))
-    if result.consistent:
-        return _Outcome(True)
-    pm = result.counterexample
-    detail = _failure(
-        i,
-        pm.model,
-        a,
-        ActionDiamond(alpha, phi),
-        f"degree check fails at {pm.point!r} with radius {k}: "
-        f"full={result.full_value} submodel={result.submodel_value}",
-    )
-    detail["point"] = pm.point
 
-    def recheck(m2, phi2):
-        if pm.point not in m2.worlds:
-            return True
-        sub = check_degree(
-            ActionDiamond(alpha, phi2), k, [PointedModel(m2, pm.point)], events=a
+    def check(m, phi2):
+        pointed = testset if m is None else [PointedModel(m, case.protected[0])]
+        result = check_degree(ActionDiamond(alpha, phi2), k, pointed, events=a)
+        if result.consistent:
+            return None
+        pm = result.counterexample
+        if m is None:
+            case.model, case.protected = pm.model, (pm.point,)
+        record = _failure(
+            pm.model,
+            a,
+            ActionDiamond(alpha, phi2),
+            f"degree check fails at {pm.point!r} with radius {k}: "
+            f"full={result.full_value} submodel={result.submodel_value}",
         )
-        return sub.consistent
+        record["point"] = pm.point
+        return record
 
-    sm, sphi = _shrink(recheck, pm.model, phi, protected=(pm.point,))
-    detail["shrunk"] = _shrunk_payload(sm, sphi)
-    return _Outcome(False, detail)
+    case = _Case(check, None, phi, (None, a, phi))
+    return case
 
 
 _SUITES = {
-    "translation": _suite_translation,
-    "announcement": _suite_announcement,
-    "nominals": _suite_nominals,
-    "fixpoint": _suite_fixpoint,
-    "bisim_lift": _suite_bisim_lift,
-    "degree": _suite_degree,
+    "translation": _translation_case,
+    "announcement": _announcement_case,
+    "nominals": _nominals_case,
+    "fixpoint": _fixpoint_case,
+    "bisim_lift": _bisim_lift_case,
+    "degree": _degree_case,
 }
 
 
@@ -853,29 +820,26 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
     """Run the selected suites over `cases` generated instances each."""
     suites_out: dict[str, dict] = {}
     timing: dict[str, dict] = {}
-    ratios: list[float] = []
-    epses: list[int] = []
+    stats: list = []
     ok = True
     for name in cfg.suites:
-        fn = _SUITES[name]
+        build = _SUITES[name]
         passed = failed = 0
         first_failure = None
         max_case = 0.0
         t0 = time.perf_counter()
         for i in range(cfg.cases):
             c0 = time.perf_counter()
-            outcome = fn(cfg, i)
+            case = build(cfg, i)
+            record = _run_case(case, i)
             max_case = max(max_case, time.perf_counter() - c0)
-            if outcome.ok:
+            if record is None:
                 passed += 1
-                if name == "translation" and outcome.stats:
-                    for ratio, eps in outcome.stats:
-                        ratios.append(ratio)
-                        epses.append(eps)
+                stats += case.stats
             else:
                 failed += 1
                 if first_failure is None:
-                    first_failure = outcome.detail
+                    first_failure = record
         total = time.perf_counter() - t0
         suites_out[name] = {
             "cases": cfg.cases,
@@ -889,9 +853,11 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
         }
         ok = ok and failed == 0
     blowup = None
-    if ratios:
+    if stats:
+        ratios = [ratio for ratio, _ in stats]
+        epses = [eps for _, eps in stats]
         blowup = {
-            "translations": len(ratios),
+            "translations": len(stats),
             "mean_size_ratio": round(sum(ratios) / len(ratios), 3),
             "max_size_ratio": round(max(ratios), 3),
             "mean_output_eps": round(sum(epses) / len(epses), 3),

@@ -194,7 +194,7 @@ def product_update(m: KripkeModel, a: EventModel, budget=None) -> TaggedModel:
     """Product of a model with an event model: worlds are (world, event)
     pairs where the precondition holds, edges need edges in both
     components, and the valuation is lifted along the first component."""
-    from .semantics import extension  # circular at import time only
+    from .semantics import extension  # semantics imports models
 
     pre_ext = {e: extension(m, a.pre[e], budget=budget) for e in a.events}
     return product_from_extensions(m, a, pre_ext)

@@ -30,7 +30,6 @@ from .errors import (
     EmptyDomain,
     EmptyEventSet,
     ParseError,
-    PreconditionNotBaseMso,
     UnknownWorldInRelation,
     UnknownWorldInValuation,
 )
@@ -49,14 +48,12 @@ from .syntax import (
     Formula,
     Global,
     Implies,
-    LanguageTag,
     Nominal,
     Not,
     Nu,
     Or,
     Top,
     check_nu_positivity,
-    classify,
 )
 
 
@@ -444,12 +441,7 @@ def parse_event_model(text: str) -> EventModel:
             raise ParseError(f"missing precondition for event {e!r}")
         if not isinstance(raw_pre[e], str):
             raise ParseError(f"precondition of {e!r} must be a formula string")
-        phi = parse_formula(raw_pre[e])
-        if classify(phi) is not LanguageTag.BASE_MSO:
-            raise PreconditionNotBaseMso(
-                f"precondition of event {e!r} is not in the base language"
-            )
-        pre[e] = phi
+        pre[e] = parse_formula(raw_pre[e])
     return EventModel(tuple(events), relation, pre)
 
 

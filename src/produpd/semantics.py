@@ -143,7 +143,7 @@ class Evaluator:
     def worlds_of(self, mask: int) -> frozenset[str]:
         return frozenset(w for i, w in enumerate(self.worlds) if (mask >> i) & 1)
 
-    def _from_parent(self, parent: "Evaluator", mask: int) -> int:
+    def _from_parent(self, mask: int) -> int:
         out = 0
         for i, pi in enumerate(self._parent_index):
             if (mask >> pi) & 1:
@@ -400,7 +400,7 @@ class Evaluator:
         if phi.event not in self.events.pre:
             raise UnknownEvent(f"unknown event {phi.event!r}")
         prod = self._product_session(env)
-        child_env = {p: prod._from_parent(self, m) for p, m in env.items()}
+        child_env = {p: prod._from_parent(m) for p, m in env.items()}
         body = prod._eval(phi.body, child_env)
         out = 0
         for i, w in enumerate(self.worlds):
@@ -419,7 +419,7 @@ class Evaluator:
             sess = Evaluator(TaggedModel(sub, tags), self.events, self.budget, self._work)
             sess._parent_index = [self.index[w] for w in sub.worlds]
             self._relativised[a_mask] = sess
-        child_env = {p: sess._from_parent(self, m) for p, m in env.items()}
+        child_env = {p: sess._from_parent(m) for p, m in env.items()}
         body = sess._eval(phi.body, child_env)
         return a_mask & sess._to_parent(body)
 

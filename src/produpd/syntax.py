@@ -25,7 +25,7 @@ class Formula:
     __slots__ = ()
 
     def __str__(self) -> str:
-        from .parser import print_formula
+        from .parser import print_formula  # parser imports syntax
 
         return print_formula(self)
 

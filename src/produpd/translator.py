@@ -25,6 +25,7 @@ from .errors import (
     UnknownEvent,
 )
 from .models import EventModel
+from .parser import print_formula
 from .syntax import (
     ActionDiamond,
     And,
@@ -83,8 +84,6 @@ class TranslationReport:
     steps: list[TranslationStep] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
-        from .parser import print_formula
-
         return {
             "input": print_formula(self.input),
             "output": print_formula(self.output),
@@ -145,8 +144,6 @@ def _measure(phi: Formula) -> tuple[int, int]:
 
 def _record(steps, rule: str, alpha: str, psi: Formula):
     if steps is not None:
-        from .parser import print_formula
-
         steps.append(TranslationStep(rule, print_formula(ActionDiamond(alpha, psi))))
 
 
@@ -290,8 +287,6 @@ def translate_announcement(
 
 def _ann_record(steps, rule: str, announced: Formula, psi: Formula):
     if steps is not None:
-        from .parser import print_formula
-
         steps.append(TranslationStep(rule, print_formula(Announce(announced, psi))))
 
 
@@ -367,8 +362,6 @@ def eliminate_all(a: EventModel, phi: Formula, *, simplify: bool = False) -> Tra
         if isinstance(f, Nu):
             body = rec(f.body)
             if steps is not None:
-                from .parser import print_formula
-
                 steps.append(TranslationStep("nu-encode", print_formula(f)))
             return ExistsProp(
                 f.var, And(Atom(f.var), Global(Implies(Atom(f.var), body)))

@@ -178,6 +178,17 @@ class TestTranslateCommand:
             == 2
         )
 
+    def test_non_base_precondition_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({**EVENTS, "pre": {"a0": "<!p> q", "a1": "true"}}))
+        assert (
+            run(["translate", "--events", str(path), "--event", "a0", "--formula", "p"])
+            == 1
+        )
+        assert capsys.readouterr().err == (
+            "error: precondition of event 'a0' is not in the base language\n"
+        )
+
 
 class TestBisimCommand:
     def test_verdict_and_relation(self, tmp_path, capsys):
