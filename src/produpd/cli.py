@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on property failures or semantic errors
 (unresolvable nominals, exhausted budgets, failing fuzz suites), 2 on
-usage or parse errors.  Every subcommand emits machine-readable JSON with
+usage or parse errors and on formulas nested too deeply for the recursive
+parser, printer, rewriter or evaluator (`error: formula nested too
+deeply`).  Every subcommand emits machine-readable JSON with
 --json and human-readable text otherwise; diagnostics go to stderr.
 """
 
@@ -315,6 +317,9 @@ def run(argv) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
     except ProdupdError as e:
         print(f"error: {e}", file=sys.stderr)

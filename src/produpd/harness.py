@@ -11,9 +11,9 @@ case `i` and returns a `_Case` holding the check to run.  One runner,
 result or a raised `ProdupdError` becomes a failure record (`case_index`,
 `model`, `event_model`, `formula`, `message`, optional `lhs`/`rhs`, the
 suite-specific `announced`/`point`, and `shrunk`), and each suite reports
-its first one.  `shrunk` is a locally minimal version of the case: worlds
-are removed one at a time and subformulas replaced by constants while the
-same check still fails.
+its first one, the only one it shrinks.  `shrunk` is a locally minimal
+version of the case: worlds are removed one at a time and subformulas
+replaced by constants while the same check still fails.
 """
 
 from __future__ import annotations
@@ -500,9 +500,9 @@ def _shrink(recheck, m: KripkeModel, phi: Formula | None, *, protected=()):
     return m, phi
 
 
-def _run_case(case: _Case, i: int) -> dict | None:
-    """The failure record of case `i` with its shrunk counterexample, or
-    None when the case passes."""
+def _run_case(case: _Case, i: int, *, shrink: bool) -> dict | None:
+    """The failure record of case `i`, or None when the case passes.  With
+    `shrink`, the record carries the shrunk counterexample."""
     try:
         record = case.check(case.model, case.formula)
     except ProdupdError as e:
@@ -511,7 +511,7 @@ def _run_case(case: _Case, i: int) -> dict | None:
         return None
     record = {"case_index": i, **record}
     record.update((k, print_formula(v)) for k, v in case.extra.items())
-    if case.model is not None:
+    if shrink and case.model is not None:
         m, phi = _shrink(
             lambda m2, phi2: case.check(m2, phi2) is None,
             case.model,
@@ -831,7 +831,8 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
         for i in range(cfg.cases):
             c0 = time.perf_counter()
             case = build(cfg, i)
-            record = _run_case(case, i)
+            # only the first failure is reported, so only it is shrunk
+            record = _run_case(case, i, shrink=first_failure is None)
             max_case = max(max_case, time.perf_counter() - c0)
             if record is None:
                 passed += 1

@@ -7,12 +7,22 @@ usual derived connectives (or, implication, diamond, the universal
 propositional quantifier, the "somewhere" modality, the constants) are
 first-class display nodes so that rewritten output stays readable; every
 measure and every semantic clause treats them by their expansions.
+
+Rewritten output is a tree that grows much faster than its set of distinct
+subterms, so the whole-subtree queries (`free_props`, `formula_size`,
+`quantifier_count`, `contains_node`) do not walk the tree.  Each node
+object computes one facts record the first time it is asked, from its
+children's records, and keeps it; every later query is O(1).  The walks
+that remain (positivity, nominal scoping) skip subtrees whose record shows
+there is nothing to find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from typing import NamedTuple
 
 from .errors import InputNotSentenceFragment, PositivityViolation
 
@@ -20,9 +30,14 @@ FRESH_PREFIX = "_f"
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
+    """Base class for formula nodes.  Instances are immutable and hashable.
 
-    __slots__ = ()
+    The `_facts` slot holds the node's `_Facts` once computed.  It is not a
+    dataclass field, so equality, hashing, repr and pickling ignore it, and
+    a copy made by pickling or `dataclasses.replace` computes its own.
+    """
+
+    __slots__ = ("_facts",)
 
     def __str__(self) -> str:
         from .parser import print_formula  # parser imports syntax
@@ -147,6 +162,8 @@ _UNARY = (Not, Box, Diamond, Global, ExistsGlobal)
 _BINARY = (And, Or, Implies)
 _LEAVES = (Atom, Nominal, Top, Bottom)
 _MU_NODES = (Atom, Top, Bottom, Not, And, Or, Implies, Box, Diamond, Nu)
+_NODE_KINDS = (*_LEAVES, *_UNARY, *_BINARY, *_BINDERS, ActionDiamond, Announce)
+_KIND_BIT = {cls: 1 << i for i, cls in enumerate(_NODE_KINDS)}
 
 
 class LanguageTag(Enum):
@@ -212,22 +229,61 @@ def disj(parts) -> Formula:
     return out
 
 
+class _Facts(NamedTuple):
+    """Facts about a whole subtree, kept on its root node."""
+
+    free: frozenset[str]  # free propositions
+    size: int  # node count
+    quants: int  # ExistsProp and ForallProp nodes
+    kinds: int  # union of the `_KIND_BIT` of every node
+
+
+def _facts(phi: Formula) -> _Facts:
+    """The facts record of `phi`, built from its children's on first use."""
+    try:
+        return phi._facts
+    except AttributeError:
+        pass
+    parts = [_facts(c) for c in children(phi)]
+    size, quants, kinds = 1, 0, _KIND_BIT[type(phi)]
+    for p in parts:
+        size += p.size
+        quants += p.quants
+        kinds |= p.kinds
+    if isinstance(phi, Atom):
+        free = frozenset((phi.name,))
+    elif len(parts) == 1:
+        free = parts[0].free
+    else:
+        free = frozenset().union(*[p.free for p in parts])
+    if isinstance(phi, _BINDERS):
+        free = free - {phi.var}
+        quants += not isinstance(phi, Nu)
+    facts = _Facts(free, size, quants, kinds)
+    object.__setattr__(phi, "_facts", facts)
+    return facts
+
+
+@cache
+def _kind_mask(kinds) -> int:
+    """The bits of the node classes that `isinstance(node, kinds)` accepts."""
+    return sum(bit for cls, bit in _KIND_BIT.items() if issubclass(cls, kinds))
+
+
+_NU_BIT = _KIND_BIT[Nu]
+_NOMINAL_BIT = _KIND_BIT[Nominal]
+_MU_MASK = _kind_mask(_MU_NODES)
+_UNCOUNTED_MASK = _kind_mask((Nu, Announce))
+
+
 def contains_node(phi: Formula, kinds) -> bool:
-    if isinstance(phi, kinds):
-        return True
-    return any(contains_node(c, kinds) for c in children(phi))
+    """True iff some node of `phi` is an instance of `kinds`."""
+    return bool(_facts(phi).kinds & _kind_mask(kinds))
 
 
 def free_props(phi: Formula) -> frozenset[str]:
     """Propositions occurring free; quantifiers and fixpoints bind."""
-    if isinstance(phi, Atom):
-        return frozenset((phi.name,))
-    if isinstance(phi, _BINDERS):
-        return free_props(phi.body) - {phi.var}
-    out: frozenset[str] = frozenset()
-    for c in children(phi):
-        out |= free_props(c)
-    return out
+    return _facts(phi).free
 
 
 def all_props(phi: Formula) -> frozenset[str]:
@@ -243,7 +299,7 @@ def all_props(phi: Formula) -> frozenset[str]:
 
 
 def formula_size(phi: Formula) -> int:
-    return 1 + sum(formula_size(c) for c in children(phi))
+    return _facts(phi).size
 
 
 def quantifier_count(phi: Formula) -> int:
@@ -251,14 +307,17 @@ def quantifier_count(phi: Formula) -> int:
     universal quantifier through its negation expansion.
 
     Fixpoint and announcement nodes are rejected: the measure is only
-    defined once they have been rewritten away.
+    defined once they have been rewritten away.  The error names the first
+    such node in pre-order.
     """
-    if isinstance(phi, (Nu, Announce)):
+    facts = _facts(phi)
+    if facts.kinds & _UNCOUNTED_MASK:
+        while not isinstance(phi, (Nu, Announce)):
+            phi = next(c for c in children(phi) if _facts(c).kinds & _UNCOUNTED_MASK)
         raise InputNotSentenceFragment(
             f"quantifier count undefined on {type(phi).__name__} nodes"
         )
-    base = 1 if isinstance(phi, (ExistsProp, ForallProp)) else 0
-    return base + sum(quantifier_count(c) for c in children(phi))
+    return facts.quants
 
 
 def modal_depth(phi: Formula) -> int:
@@ -342,8 +401,12 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 
 
 def _polarity_ok(phi: Formula, var: str, positive: bool) -> bool:
+    if var not in _facts(phi).free:
+        return True
+    # from here on `var` is free in phi: an atom is `var` itself, and a
+    # binder binds another name
     if isinstance(phi, Atom):
-        return positive if phi.name == var else True
+        return positive
     if isinstance(phi, Not):
         return _polarity_ok(phi.body, var, not positive)
     if isinstance(phi, Implies):
@@ -351,8 +414,6 @@ def _polarity_ok(phi: Formula, var: str, positive: bool) -> bool:
             phi.right, var, positive
         )
     if isinstance(phi, _BINDERS):
-        if phi.var == var:
-            return True
         return _polarity_ok(phi.body, var, positive)
     if isinstance(phi, Announce):
         # the announced formula shapes the surviving domain, where the
@@ -370,6 +431,8 @@ def is_positive_in(phi: Formula, var: str) -> bool:
 
 
 def check_nu_positivity(phi: Formula) -> None:
+    if not _facts(phi).kinds & _NU_BIT:
+        return
     if isinstance(phi, Nu) and not is_positive_in(phi.body, phi.var):
         raise PositivityViolation(
             f"fixpoint body is not positive in {phi.var!r}"
@@ -379,12 +442,12 @@ def check_nu_positivity(phi: Formula) -> None:
 
 
 def _mu_grammar_only(phi: Formula) -> bool:
-    if not isinstance(phi, _MU_NODES):
-        return False
-    return all(_mu_grammar_only(c) for c in children(phi))
+    return not _facts(phi).kinds & ~_MU_MASK
 
 
 def _has_unscoped_nominal(phi: Formula, scoped: bool = False) -> bool:
+    if not _facts(phi).kinds & _NOMINAL_BIT:
+        return False
     if isinstance(phi, Nominal):
         return not scoped
     if isinstance(phi, ActionDiamond):

@@ -237,6 +237,25 @@ class TestFuzzCommand:
         assert run(["fuzz", "--cases", "0"]) == 2
 
 
+class TestDeepNesting:
+    @pytest.mark.parametrize("command", ["parse", "eval", "translate"])
+    def test_exit_2_with_one_line(
+        self, command, model_file, events_file, tmp_path, capsys
+    ):
+        deep = tmp_path / "deep.txt"
+        deep.write_text("[] " * 10000 + "p")
+        argv = {
+            "parse": ["parse", f"@{deep}"],
+            "eval": ["eval", "--model", model_file, "--formula", f"@{deep}"],
+            "translate": [
+                "translate", "--events", events_file, "--event", "a0",
+                "--formula", f"@{deep}",
+            ],
+        }[command]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
 class TestUsage:
     def test_no_command_exit_2(self):
         assert run([]) == 2

@@ -72,6 +72,23 @@ def test_injected_failure_payload(suite, variant):
     assert got == golden[_key(suite, variant)]
 
 
+@pytest.mark.parametrize(
+    "suite,variant", list(INJECTIONS), ids=[_key(*k) for k in INJECTIONS]
+)
+def test_only_the_reported_failure_is_shrunk(suite, variant, monkeypatch):
+    calls = []
+    shrink = harness._shrink
+
+    def counting_shrink(*args, **kwargs):
+        calls.append(args)
+        return shrink(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_shrink", counting_shrink)
+    report = injected_payload(suite, variant)["suites"][suite]
+    assert report["failed"] >= 1
+    assert len(calls) == ("shrunk" in report["first_failure"])
+
+
 if __name__ == "__main__":
     out = {_key(*k): injected_payload(*k) for k in INJECTIONS}
     print(json.dumps(out, indent=1, sort_keys=True))

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from produpd import (
@@ -25,14 +28,27 @@ from produpd import (
     quantifier_count,
     substitute,
 )
-from produpd.harness import FuzzConfig, random_formula
+from produpd.harness import (
+    _SUITES,
+    FuzzConfig,
+    _positive_body,
+    random_event_model,
+    random_formula,
+    translation_case_inputs,
+)
 from produpd.syntax import (
+    _BINDERS,
+    _NODE_KINDS,
+    Formula,
+    ForallProp,
+    children,
     contains_node,
     is_positive_in,
     replace_subformula,
     subformula_at,
     subformula_positions,
 )
+from produpd.translator import translate_event
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -198,3 +214,162 @@ class TestTreeUtilities:
 
     def test_size(self):
         assert formula_size(And(p, Box(q))) == 4
+
+
+# -- the cached facts against their recursive definitions ------------------
+
+
+def ref_free_props(phi):
+    if isinstance(phi, Atom):
+        return frozenset((phi.name,))
+    if isinstance(phi, _BINDERS):
+        return ref_free_props(phi.body) - {phi.var}
+    out = frozenset()
+    for c in children(phi):
+        out |= ref_free_props(c)
+    return out
+
+
+def ref_formula_size(phi):
+    return 1 + sum(ref_formula_size(c) for c in children(phi))
+
+
+def ref_quantifier_count(phi):
+    if isinstance(phi, (Nu, Announce)):
+        raise InputNotSentenceFragment(
+            f"quantifier count undefined on {type(phi).__name__} nodes"
+        )
+    base = 1 if isinstance(phi, (ExistsProp, ForallProp)) else 0
+    return base + sum(ref_quantifier_count(c) for c in children(phi))
+
+
+def ref_contains_node(phi, kinds):
+    if isinstance(phi, kinds):
+        return True
+    return any(ref_contains_node(c, kinds) for c in children(phi))
+
+
+def ref_polarity_ok(phi, var, positive):
+    if isinstance(phi, Atom):
+        return positive if phi.name == var else True
+    if isinstance(phi, Not):
+        return ref_polarity_ok(phi.body, var, not positive)
+    if isinstance(phi, Implies):
+        return ref_polarity_ok(phi.left, var, not positive) and ref_polarity_ok(
+            phi.right, var, positive
+        )
+    if isinstance(phi, _BINDERS):
+        return phi.var == var or ref_polarity_ok(phi.body, var, positive)
+    if isinstance(phi, Announce):
+        if var in ref_free_props(phi.announced):
+            return False
+        return ref_polarity_ok(phi.body, var, positive)
+    return all(ref_polarity_ok(c, var, positive) for c in children(phi))
+
+
+KIND_QUERIES = [
+    *_NODE_KINDS, (ActionDiamond, Announce, Nu), (ExistsProp, ForallProp), Formula
+]
+GENERATED_TAGS = (
+    LanguageTag.BASE_MSO, LanguageTag.SCOPED_NOMINALS, LanguageTag.MU_FRAGMENT
+)
+
+
+def _quantifiers_or_error(count, phi):
+    try:
+        return count(phi)
+    except InputNotSentenceFragment as e:
+        return str(e)
+
+
+def assert_facts_agree(phi):
+    """Every distinct node object below `phi` answers as the reference."""
+    seen = set()
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        stack.extend(children(f))
+        assert free_props(f) == ref_free_props(f)
+        assert formula_size(f) == ref_formula_size(f)
+        assert _quantifiers_or_error(quantifier_count, f) == _quantifiers_or_error(
+            ref_quantifier_count, f
+        )
+        for kinds in KIND_QUERIES:
+            assert contains_node(f, kinds) == ref_contains_node(f, kinds)
+        for var in ("p", "q", "r", "s"):
+            assert is_positive_in(f, var) == ref_polarity_ok(f, var, True)
+
+
+def harness_formulas(seed):
+    """Formulas from every generator of the harness, the translator's
+    output on them, and nests of them under fixpoints and announcements."""
+    cfg = FuzzConfig(seed=seed, cases=1)
+    for i in range(6):
+        made = [random_formula(cfg, i, tag) for tag in GENERATED_TAGS]
+        made += random_event_model(cfg, i).pre.values()
+        made.append(_positive_body(cfg, i, "p"))
+        _, a, psi = translation_case_inputs(cfg, i)
+        made += [translate_event(a, e, psi) for e in a.events]
+        for build in _SUITES.values():
+            case = build(cfg, i)
+            made += [case.formula, case.recorded[2], *case.extra.values()]
+        made = [f for f in made if f is not None]
+        yield from made
+        for f, g in zip(made, made[1:]):
+            yield And(Box(Announce(f, g)), Nu("p", And(g, f)))
+            yield Not(ActionDiamond("a0", Implies(Nu("q", f), Announce(g, f))))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 2024])
+def test_cached_facts_match_reference(seed):
+    for phi in harness_formulas(seed):
+        assert_facts_agree(phi)
+
+
+class TestCachedFacts:
+    def test_quantifier_count_names_first_in_preorder(self):
+        nested = And(Box(Announce(p, Nu("q", q))), Nu("r", r))
+        with pytest.raises(InputNotSentenceFragment, match="on Announce nodes"):
+            quantifier_count(nested)
+        nested = And(Not(ExistsProp("p", Nu("r", Announce(p, r)))), Announce(q, q))
+        with pytest.raises(InputNotSentenceFragment, match="on Nu nodes"):
+            quantifier_count(nested)
+
+    def test_shared_subterm_counts_per_occurrence(self):
+        shared = ExistsProp("p", And(p, q))
+        phi = And(shared, Box(shared))
+        assert formula_size(phi) == 2 * formula_size(shared) + 2 == 10
+        assert quantifier_count(phi) == 2
+
+    def test_pickle_round_trip(self):
+        for phi in harness_formulas(3):
+            free_props(phi)
+            copy = pickle.loads(pickle.dumps(phi))
+            assert copy == phi and hash(copy) == hash(phi)
+            assert_facts_agree(copy)
+
+    def test_replace_recomputes(self):
+        phi = ExistsProp("p", And(p, Not(q)))
+        assert free_props(phi) == {"q"}
+        assert not is_positive_in(phi, "q")
+        renamed = dataclasses.replace(phi, var="q")
+        assert free_props(renamed) == {"p"}
+        assert is_positive_in(renamed, "q")
+        swapped = dataclasses.replace(phi, body=Nu("r", r))
+        assert free_props(swapped) == frozenset()
+        assert contains_node(swapped, Nu)
+        with pytest.raises(InputNotSentenceFragment):
+            quantifier_count(swapped)
+        for f in (renamed, swapped):
+            assert_facts_agree(f)
+
+    def test_facts_stay_out_of_equality_and_repr(self):
+        fresh = And(p, Box(q))
+        asked = And(p, Box(q))
+        formula_size(asked)
+        assert fresh == asked and hash(fresh) == hash(asked)
+        assert repr(fresh) == repr(asked)
+        assert repr(asked) == "And(left=Atom(name='p'), right=Box(body=Atom(name='q')))"
