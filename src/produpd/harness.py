@@ -6,12 +6,13 @@ hashing (seed, case index, stream label), so cases are independent,
 reproducible bit-for-bit, and regenerable individually.
 
 Each suite is one case builder in `_SUITES`: it generates the inputs of
-case `i` and returns a `_Case` holding the check to run.  One runner,
-`_run_case`, runs every check.  Failures are data, not errors: a wrong
-result or a raised `ProdupdError` becomes a failure record (`case_index`,
-`model`, `event_model`, `formula`, `message`, optional `lhs`/`rhs`, the
-suite-specific `announced`/`point`, and `shrunk`), and each suite reports
-its first one, the only one it shrinks.  `shrunk` is a locally minimal
+case `i` and returns a `_Case` holding the check to run, and `run_fuzz`
+runs every check.  Failures are data, not errors: a wrong result or a
+raised `ProdupdError` becomes an unrendered `_Failure`.  Each suite
+reports its first one, the only one `_report` renders into a failure
+record (`case_index`, `model`, `event_model`, `formula`, `message`,
+optional `lhs`/`rhs`, the suite-specific `announced`/`point`, and
+`shrunk`) and the only one it shrinks.  `shrunk` is a locally minimal
 version of the case: worlds are removed one at a time and subformulas
 replaced by constants while the same check still fails.
 """
@@ -24,6 +25,7 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analysis import (
     check_degree,
@@ -428,16 +430,16 @@ def translation_case_inputs(cfg: FuzzConfig, case_index: int):
 class _Case:
     """One generated oracle instance.
 
-    `check(model, formula)` returns a failure record, or None when the
-    oracle holds.  The runner calls it on `model` and `formula`; on a
+    `check(model, formula)` returns a `_Failure`, or None when the oracle
+    holds.  The runner calls it on `model` and `formula`; on the reported
     failure it calls it again to shrink them, never removing a `protected`
     world.  With no model there is nothing to shrink.  A check that raises
     is recorded against `recorded`, a (model, event model, formula) triple.
-    The formulas in `extra` are printed into the record, and `stats`
-    collects (size ratio, output quantifiers) per translation.
+    The formulas in `extra` are printed into the reported record, and
+    `stats` collects (size ratio, output quantifiers) per translation.
     """
 
-    check: Callable[[KripkeModel | None, Formula | None], dict | None]
+    check: Callable[[KripkeModel | None, Formula | None], _Failure | None]
     model: KripkeModel | None
     formula: Formula | None
     recorded: tuple
@@ -446,17 +448,33 @@ class _Case:
     stats: list = field(default_factory=list)
 
 
-def _failure(m, a, phi, message, lhs=None, rhs=None) -> dict:
+class _Failure(NamedTuple):
+    """A failed check, kept unrendered: the runner renders only the
+    failure it reports (`_render_failure`)."""
+
+    model: KripkeModel | None
+    event_model: EventModel | None
+    formula: Formula | None
+    message: str
+    lhs: frozenset[str] | None = None
+    rhs: frozenset[str] | None = None
+    point: str | None = None
+
+
+def _render_failure(f: _Failure) -> dict:
+    m, a, phi = f.model, f.event_model, f.formula
     out = {
         "model": model_to_jsonable(m) if m is not None else None,
         "event_model": event_model_to_jsonable(a) if a is not None else None,
         "formula": print_formula(phi) if phi is not None else None,
-        "message": message,
+        "message": f.message,
     }
-    if lhs is not None:
-        out["lhs"] = sorted(lhs)
-    if rhs is not None:
-        out["rhs"] = sorted(rhs)
+    if f.lhs is not None:
+        out["lhs"] = sorted(f.lhs)
+    if f.rhs is not None:
+        out["rhs"] = sorted(f.rhs)
+    if f.point is not None:
+        out["point"] = f.point
     return out
 
 
@@ -500,18 +518,11 @@ def _shrink(recheck, m: KripkeModel, phi: Formula | None, *, protected=()):
     return m, phi
 
 
-def _run_case(case: _Case, i: int, *, shrink: bool) -> dict | None:
-    """The failure record of case `i`, or None when the case passes.  With
-    `shrink`, the record carries the shrunk counterexample."""
-    try:
-        record = case.check(case.model, case.formula)
-    except ProdupdError as e:
-        record = _failure(*case.recorded, f"error: {e}")
-    if record is None:
-        return None
-    record = {"case_index": i, **record}
+def _report(case: _Case, i: int, failure: _Failure) -> dict:
+    """The failure record of case `i`, carrying the shrunk counterexample."""
+    record = {"case_index": i, **_render_failure(failure)}
     record.update((k, print_formula(v)) for k, v in case.extra.items())
-    if shrink and case.model is not None:
+    if case.model is not None:
         m, phi = _shrink(
             lambda m2, phi2: case.check(m2, phi2) is None,
             case.model,
@@ -532,15 +543,15 @@ def _check_translation(m, a, psi, stats):
         chi = translate_event(a, alpha, psi, measure_log=log)
         for parent, child in log:
             if not child < parent:
-                return _failure(m, a, psi, f"measure did not decrease at <{alpha}>")
+                return _Failure(m, a, psi, f"measure did not decrease at <{alpha}>")
         if classify(chi) is not LanguageTag.BASE_MSO or contains_node(chi, Nominal):
-            return _failure(
+            return _Failure(
                 m, a, psi, f"output for <{alpha}> is not in the base language"
             )
         lhs = ev.extension(ActionDiamond(alpha, psi))
         rhs = ev.extension(chi)
         if lhs != rhs:
-            return _failure(m, a, psi, f"extension mismatch for <{alpha}>", lhs, rhs)
+            return _Failure(m, a, psi, f"extension mismatch for <{alpha}>", lhs, rhs)
         stats.append(
             (formula_size(chi) / (1 + formula_size(psi)), quantifier_count(chi))
         )
@@ -564,21 +575,21 @@ def _check_announcement(m, announced, psi):
     lhs = ev.extension(Announce(announced, psi))
     chi = translate_announcement(announced, psi)
     if classify(chi) is not LanguageTag.BASE_MSO:
-        return _failure(m, None, psi, "output is not in the base language")
+        return _Failure(m, None, psi, "output is not in the base language")
     rhs = ev.extension(chi)
     if lhs != rhs:
-        return _failure(m, None, psi, "translation mismatch", lhs, rhs)
+        return _Failure(m, None, psi, "translation mismatch", lhs, rhs)
     one_event = announcement_event_model(announced)
     ev2 = Evaluator(m, events=one_event)
     via_product = ev2.extension(ActionDiamond("a0", psi))
     if via_product != lhs:
-        return _failure(
+        return _Failure(
             m, one_event, psi, "product route disagrees", lhs, via_product
         )
     cross = translate_event(one_event, "a0", psi)
     cross_ext = ev.extension(cross)
     if cross_ext != lhs:
-        return _failure(
+        return _Failure(
             m, one_event, psi, "event-translation route disagrees", lhs, cross_ext
         )
     return None
@@ -605,13 +616,13 @@ def _check_nominals(m, a):
             expected = pre_ext if idx == k else frozenset()
             got = ev.extension(ActionDiamond(e, Nominal(k)))
             if got != expected:
-                return _failure(
+                return _Failure(
                     m, a, ActionDiamond(e, Nominal(k)),
                     "nominal axiom fails semantically", expected, got,
                 )
             via_translation = ev.extension(translate_event(a, e, Nominal(k)))
             if via_translation != expected:
-                return _failure(
+                return _Failure(
                     m, a, ActionDiamond(e, Nominal(k)),
                     "nominal axiom fails through translation", expected, via_translation,
                 )
@@ -632,14 +643,14 @@ def _check_fixpoint(m, var, body):
         ExistsProp(var, And(Atom(var), Global(Implies(Atom(var), body))))
     )
     if not (iterative == oracle == encoded):
-        return _failure(
+        return _Failure(
             m, None, Nu(var, body),
             f"fixpoint routes disagree: iterative={sorted(iterative)} "
             f"oracle={sorted(oracle)} encoded={sorted(encoded)}",
         )
-    fixed = ev.worlds_of(ev._eval(body, {var: ev.mask_of(iterative)}))
+    fixed = ev.extension(body, {var: ev.mask_of(iterative)})
     if fixed != iterative:
-        return _failure(
+        return _Failure(
             m, None, Nu(var, body), "result is not a fixpoint", iterative, fixed
         )
     return None
@@ -705,21 +716,21 @@ def _check_bisim(m1, target, a, phi):
     z = greatest_bisimulation(m1, m2)
     expected = {(w, w) for w in m1.worlds} | {(target, clone)}
     if not expected <= z.pairs:
-        return _failure(
+        return _Failure(
             m1, a, phi, "duplication pairs missing from greatest bisimulation"
         )
     if not is_bisimulation(m1, m2, z):
-        return _failure(m1, a, phi, "refinement output fails the checks")
+        return _Failure(m1, a, phi, "refinement output fails the checks")
     y = lift_bisimulation(z, a, m1, m2)
     p1 = product_update(m1, a)
     p2 = product_update(m2, a)
     if not is_bisimulation(p1.model, p2.model, y):
-        return _failure(m1, a, phi, "lifted relation is not a bisimulation")
+        return _Failure(m1, a, phi, "lifted relation is not a bisimulation")
     ev1 = Evaluator(m1, events=a)
     ev2 = Evaluator(m2, events=a)
     for u, v in sorted(z.pairs):
         if ev1.holds(u, phi) != ev2.holds(v, phi):
-            return _failure(m1, a, phi, f"bisimilar points ({u},{v}) disagree")
+            return _Failure(m1, a, phi, f"bisimilar points ({u},{v}) disagree")
     return None
 
 
@@ -766,15 +777,14 @@ def _degree_case(cfg, i) -> _Case:
         pm = result.counterexample
         if m is None:
             case.model, case.protected = pm.model, (pm.point,)
-        record = _failure(
+        return _Failure(
             pm.model,
             a,
             ActionDiamond(alpha, phi2),
             f"degree check fails at {pm.point!r} with radius {k}: "
             f"full={result.full_value} submodel={result.submodel_value}",
+            point=pm.point,
         )
-        record["point"] = pm.point
-        return record
 
     case = _Case(check, None, phi, (None, a, phi))
     return case
@@ -831,16 +841,20 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
         for i in range(cfg.cases):
             c0 = time.perf_counter()
             case = build(cfg, i)
-            # only the first failure is reported, so only it is shrunk
-            record = _run_case(case, i, shrink=first_failure is None)
-            max_case = max(max_case, time.perf_counter() - c0)
-            if record is None:
+            try:
+                failure = case.check(case.model, case.formula)
+            except ProdupdError as e:
+                failure = _Failure(*case.recorded, f"error: {e}")
+            if failure is None:
                 passed += 1
                 stats += case.stats
             else:
                 failed += 1
+                # only the first failure is reported, so only it is
+                # rendered and shrunk
                 if first_failure is None:
-                    first_failure = record
+                    first_failure = _report(case, i, failure)
+            max_case = max(max_case, time.perf_counter() - c0)
         total = time.perf_counter() - t0
         suites_out[name] = {
             "cases": cfg.cases,

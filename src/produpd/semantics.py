@@ -4,10 +4,17 @@ Quantifiers enumerate all subsets of the domain (in ascending bit order
 over the world ordering), the universal modality checks the whole domain,
 event diamonds build the product model and announcements relativise, and
 the greatest fixpoint is computed by descending iteration.  World sets
-are integer bitmasks; every subformula's extension is memoised against
-the valuations of just the propositions it depends on, and quantifier
-enumeration is restricted to subsets of any `U (p -> A)` guard conjunct,
-which is sound because other subsets falsify the guard outright.
+are integer bitmasks.  Quantifier enumeration is restricted to subsets of
+any `U (p -> A)` guard conjunct, which is sound because other subsets
+falsify the guard outright.
+
+Each evaluation session keeps one plan record per node object, built on
+the node's first visit: the node, its sorted deps (its free props, plus
+the precondition props when it holds an event diamond) and its handler,
+taken from the module's one `type -> _eval_<kind>` table.  Every
+subformula's extension is memoised under a flat key: the node's id when
+it has no deps, else `(id, value of each dep)`, with None for an unbound
+prop, so a prop bound to the empty set (mask 0) and an unbound one differ.
 """
 
 from __future__ import annotations
@@ -91,10 +98,14 @@ class _Work:
 class Evaluator:
     """Evaluation session over one (tagged) model.
 
-    Holds the bitmask encoding, the per-node memo, and the product /
-    relativised child sessions, so repeated queries against the same
-    model share all intermediate work.  `events` supplies the ambient
-    event model that event diamonds and nominal indices refer to.
+    Holds the bitmask encoding, the per-node plan records and memo, and
+    the product / relativised child sessions, so repeated queries against
+    the same model share all intermediate work.  `_eval` looks up the
+    node's plan (building it on the first visit, the only time it asks
+    for the node's free props), builds the memo key from the plan's deps
+    and calls the plan's handler directly.  A node is memoised while at
+    most `_MEMO_ARITY_CAP` of its deps are bound.  `events` supplies the
+    ambient event model that event diamonds and nominal indices refer to.
     """
 
     def __init__(self, model, events: EventModel | None = None, budget=None, _work=None):
@@ -116,7 +127,7 @@ class Evaluator:
             self.tag_mask[e] = self.tag_mask.get(e, 0) | (1 << self.index[w])
         self._work = _work if _work is not None else _Work()
         self._memo: dict = {}
-        self._deps: dict = {}
+        self._plans: dict = {}
         self._guards: dict = {}
         self._products: dict = {}
         self._relativised: dict = {}
@@ -179,20 +190,6 @@ class Evaluator:
             self._submasks[mask] = got
         return got
 
-    # -- dependency bookkeeping ----------------------------------------
-
-    def _node_deps(self, phi: Formula) -> tuple[str, ...]:
-        key = id(phi)
-        got = self._deps.get(key)
-        if got is None:
-            deps = free_props(phi)
-            if contains_node(phi, ActionDiamond):
-                # the product domain also varies with precondition props
-                deps |= self._pre_props
-            got = (phi, tuple(sorted(deps)))
-            self._deps[key] = got
-        return got[1]
-
     # -- public surface --------------------------------------------------
 
     def extension(self, phi: Formula, env=None) -> frozenset[str]:
@@ -208,76 +205,99 @@ class Evaluator:
 
     # -- the evaluator ---------------------------------------------------
 
+    def _plan(self, phi: Formula) -> tuple:
+        try:
+            handler = _HANDLERS[type(phi)]
+        except KeyError:
+            raise TypeError(f"not a formula node: {phi!r}") from None
+        deps = free_props(phi)
+        if contains_node(phi, ActionDiamond):
+            # the product domain also varies with precondition props
+            deps |= self._pre_props
+        deps = tuple(sorted(deps))
+        # the record holds the node, which keeps its id (the memo key's
+        # first element) from being reused while the session lives
+        plan = self._plans[id(phi)] = (phi, deps, handler, len(deps))
+        return plan
+
     def _eval(self, phi: Formula, env: dict) -> int:
-        deps = self._node_deps(phi)
-        if env:
-            key = tuple((p, env[p]) for p in deps if p in env)
+        nid = id(phi)
+        plan = self._plans.get(nid)
+        if plan is None:
+            plan = self._plan(phi)
+        _, deps, handler, arity = plan
+        # (id, value of each dep), None where unbound; spelled out up to
+        # three deps, which covers nearly every node and beats map()
+        if arity == 0:
+            key = nid
+        elif arity == 1:
+            key = (nid, env.get(deps[0]))
+        elif arity == 2:
+            key = (nid, env.get(deps[0]), env.get(deps[1]))
+        elif arity == 3:
+            key = (nid, env.get(deps[0]), env.get(deps[1]), env.get(deps[2]))
         else:
-            key = ()
-        mk = (id(phi), key)
-        hit = self._memo.get(mk)
+            key = (nid, *map(env.get, deps))
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
-        result = self._eval_node(phi, env)
-        if len(key) <= _MEMO_ARITY_CAP:
-            self._memo[mk] = result
+        result = handler(self, phi, env)
+        # the cap counts bound deps only
+        if arity <= _MEMO_ARITY_CAP or arity - key.count(None) <= _MEMO_ARITY_CAP:
+            self._memo[key] = result
         return result
 
-    def _eval_node(self, phi: Formula, env: dict) -> int:
-        if isinstance(phi, Atom):
-            got = env.get(phi.name)
-            if got is not None:
-                return got
-            return self.base_val.get(phi.name, 0)
-        if isinstance(phi, And):
-            left = self._eval(phi.left, env)
-            if left == 0:
-                return 0
-            return left & self._eval(phi.right, env)
-        if isinstance(phi, Not):
-            return self.full & ~self._eval(phi.body, env)
-        if isinstance(phi, Or):
-            left = self._eval(phi.left, env)
-            if left == self.full:
-                return left
-            return left | self._eval(phi.right, env)
-        if isinstance(phi, Implies):
-            return (self.full & ~self._eval(phi.left, env)) | self._eval(phi.right, env)
-        if isinstance(phi, Box):
-            body = self._eval(phi.body, env)
-            out = 0
-            for i in range(self.n):
-                if self.succ[i] & ~body == 0:
-                    out |= 1 << i
-            return out
-        if isinstance(phi, Diamond):
-            body = self._eval(phi.body, env)
-            out = 0
-            for i in range(self.n):
-                if self.succ[i] & body:
-                    out |= 1 << i
-            return out
-        if isinstance(phi, Global):
-            return self.full if self._eval(phi.body, env) == self.full else 0
-        if isinstance(phi, ExistsGlobal):
-            return self.full if self._eval(phi.body, env) != 0 else 0
-        if isinstance(phi, Top):
-            return self.full
-        if isinstance(phi, Bottom):
+    def _eval_atom(self, phi: Atom, env: dict) -> int:
+        got = env.get(phi.name)
+        if got is not None:
+            return got
+        return self.base_val.get(phi.name, 0)
+
+    def _eval_and(self, phi: And, env: dict) -> int:
+        left = self._eval(phi.left, env)
+        if left == 0:
             return 0
-        if isinstance(phi, ExistsProp):
-            return self._eval_exists(phi, env)
-        if isinstance(phi, ForallProp):
-            return self._eval_forall(phi, env)
-        if isinstance(phi, Nu):
-            return self._eval_nu(phi, env)
-        if isinstance(phi, Nominal):
-            return self._eval_nominal(phi)
-        if isinstance(phi, ActionDiamond):
-            return self._eval_action(phi, env)
-        if isinstance(phi, Announce):
-            return self._eval_announce(phi, env)
-        raise TypeError(f"not a formula node: {phi!r}")
+        return left & self._eval(phi.right, env)
+
+    def _eval_not(self, phi: Not, env: dict) -> int:
+        return self.full & ~self._eval(phi.body, env)
+
+    def _eval_or(self, phi: Or, env: dict) -> int:
+        left = self._eval(phi.left, env)
+        if left == self.full:
+            return left
+        return left | self._eval(phi.right, env)
+
+    def _eval_implies(self, phi: Implies, env: dict) -> int:
+        return (self.full & ~self._eval(phi.left, env)) | self._eval(phi.right, env)
+
+    def _eval_box(self, phi: Box, env: dict) -> int:
+        body = self._eval(phi.body, env)
+        out = 0
+        for i in range(self.n):
+            if self.succ[i] & ~body == 0:
+                out |= 1 << i
+        return out
+
+    def _eval_diamond(self, phi: Diamond, env: dict) -> int:
+        body = self._eval(phi.body, env)
+        out = 0
+        for i in range(self.n):
+            if self.succ[i] & body:
+                out |= 1 << i
+        return out
+
+    def _eval_global(self, phi: Global, env: dict) -> int:
+        return self.full if self._eval(phi.body, env) == self.full else 0
+
+    def _eval_exists_global(self, phi: ExistsGlobal, env: dict) -> int:
+        return self.full if self._eval(phi.body, env) != 0 else 0
+
+    def _eval_top(self, phi: Top, env: dict) -> int:
+        return self.full
+
+    def _eval_bottom(self, phi: Bottom, env: dict) -> int:
+        return 0
 
     def _check_quantifier_domain(self):
         if self.n > self.budget.max_worlds_for_quantifier:
@@ -358,7 +378,7 @@ class Evaluator:
                 )
             x = y
 
-    def _eval_nominal(self, phi: Nominal) -> int:
+    def _eval_nominal(self, phi: Nominal, env: dict) -> int:
         if self.n == 0:
             return 0
         if not self.tags:
@@ -422,6 +442,28 @@ class Evaluator:
         child_env = {p: sess._from_parent(m) for p, m in env.items()}
         body = sess._eval(phi.body, child_env)
         return a_mask & sess._to_parent(body)
+
+
+# one handler per node kind; `_eval` dispatches through this table
+_HANDLERS = {
+    Atom: Evaluator._eval_atom,
+    And: Evaluator._eval_and,
+    Not: Evaluator._eval_not,
+    Or: Evaluator._eval_or,
+    Implies: Evaluator._eval_implies,
+    Box: Evaluator._eval_box,
+    Diamond: Evaluator._eval_diamond,
+    Global: Evaluator._eval_global,
+    ExistsGlobal: Evaluator._eval_exists_global,
+    Top: Evaluator._eval_top,
+    Bottom: Evaluator._eval_bottom,
+    ExistsProp: Evaluator._eval_exists,
+    ForallProp: Evaluator._eval_forall,
+    Nu: Evaluator._eval_nu,
+    Nominal: Evaluator._eval_nominal,
+    ActionDiamond: Evaluator._eval_action,
+    Announce: Evaluator._eval_announce,
+}
 
 
 def extension(model, phi: Formula, budget=None, events: EventModel | None = None):

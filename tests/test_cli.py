@@ -255,6 +255,16 @@ class TestDeepNesting:
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: formula nested too deeply\n"
 
+    def test_eval_400_boxes(self, tmp_path, capsys):
+        # the evaluator takes two frames per nesting level (the memo step
+        # and the node's handler); a third would overflow before 400
+        model = tmp_path / "loop.json"
+        model.write_text(json.dumps({**MODEL, "val": {"p": ["w1"]}}))
+        deep = tmp_path / "deep.txt"
+        deep.write_text("[] " * 400 + "p")
+        assert run(["eval", "--model", str(model), "--formula", f"@{deep}"]) == 0
+        assert capsys.readouterr().out == "w0 w1\n"
+
 
 class TestUsage:
     def test_no_command_exit_2(self):

@@ -89,6 +89,26 @@ def test_only_the_reported_failure_is_shrunk(suite, variant, monkeypatch):
     assert len(calls) == ("shrunk" in report["first_failure"])
 
 
+@pytest.mark.parametrize(
+    "suite,variant", list(INJECTIONS), ids=[_key(*k) for k in INJECTIONS]
+)
+def test_only_the_reported_failure_is_rendered(suite, variant, monkeypatch):
+    # checks return unrendered failures; model JSON and printed formulas
+    # are built once, for the first failure, not for the later failed
+    # cases or for the failing rechecks inside the shrink
+    calls = []
+    render = harness._render_failure
+
+    def counting_render(failure):
+        calls.append(failure)
+        return render(failure)
+
+    monkeypatch.setattr(harness, "_render_failure", counting_render)
+    report = injected_payload(suite, variant)["suites"][suite]
+    assert report["failed"] >= 1
+    assert len(calls) == 1
+
+
 if __name__ == "__main__":
     out = {_key(*k): injected_payload(*k) for k in INJECTIONS}
     print(json.dumps(out, indent=1, sort_keys=True))

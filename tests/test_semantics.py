@@ -9,6 +9,7 @@ from produpd import (
     Bottom,
     Box,
     BudgetExceeded,
+    Diamond,
     EvalBudget,
     EventModel,
     ExistsProp,
@@ -19,6 +20,7 @@ from produpd import (
     Not,
     Nu,
     Nominal,
+    Or,
     PositivityViolation,
     UnknownEvent,
     announcement_event_model,
@@ -26,11 +28,13 @@ from produpd import (
     gfp_oracle,
     holds,
     parse_formula,
+    print_formula,
     product_update,
+    translate_event,
 )
 from produpd.harness import FuzzConfig, random_event_model, random_formula, random_model
 from produpd.semantics import Evaluator
-from produpd.syntax import LanguageTag
+from produpd.syntax import LanguageTag, children
 
 p, q = Atom("p"), Atom("q")
 
@@ -232,3 +236,108 @@ class TestEvaluatorSessions:
         ev.extension(ActionDiamond("a0", p))
         ev.extension(ActionDiamond("a1", p))
         assert len(ev._products) == 1
+
+
+def three_cycle(**valuation):
+    return KripkeModel(
+        ("w0", "w1", "w2"),
+        frozenset({("w0", "w0"), ("w0", "w1"), ("w1", "w2"), ("w2", "w0")}),
+        {"p": frozenset({"w1"}), "q": frozenset({"w0", "w2"}), **valuation},
+    )
+
+
+def two_events():
+    return EventModel(
+        ("a0", "a1"),
+        frozenset({("a0", "a0"), ("a0", "a1"), ("a1", "a1")}),
+        {"a0": parse_formula("p | q"), "a1": parse_formula("~p")},
+    )
+
+
+def _node_ids(phi):
+    seen, stack = set(), [phi]
+    while stack:
+        f = stack.pop()
+        seen.add(id(f))
+        stack.extend(children(f))
+    return seen
+
+
+class TestMemoKey:
+    """The memo keys a node on the values of its deps, where an unbound
+    prop (its model valuation) and a prop bound to the empty set differ."""
+
+    def test_shared_node_inside_and_outside_its_binder(self):
+        m, a = three_cycle(r=frozenset({"w1"})), two_events()
+        shared = Diamond(Atom("r"))  # {w0} in the model, empty when r = {}
+
+        def under_empty_r(f):
+            # ~f with r bound to the empty set, its only value under the
+            # guard U(r -> false): everything, for each f below
+            guard = Global(Implies(Atom("r"), Bottom()))
+            return ExistsProp("r", And(guard, Not(f)))
+
+        keep = Or(p, Diamond(p))  # relativises to {w0, w1}
+        in_product = ActionDiamond("a0", shared)
+        in_announcement = Announce(keep, shared)
+        formulas = [
+            And(shared, under_empty_r(shared)),
+            And(under_empty_r(shared), shared),
+            ActionDiamond("a0", And(shared, under_empty_r(shared))),
+            Announce(keep, And(under_empty_r(shared), shared)),
+            And(in_product, under_empty_r(in_product)),
+            And(under_empty_r(in_announcement), in_announcement),
+        ]
+        ev = Evaluator(m, events=a)
+        for phi in formulas:
+            fresh = parse_formula(print_formula(phi))
+            assert fresh == phi
+            assert not _node_ids(fresh) & _node_ids(phi)
+            expected = Evaluator(m, events=a).extension(fresh)
+            assert expected
+            assert ev.extension(phi) == expected
+
+
+class TestWorkCounters:
+    """Work done by fixed small evaluations, pinned: subsets enumerated,
+    memo entries over the session tree, product and relativised sessions."""
+
+    @staticmethod
+    def counters(ev):
+        memo = products = relativised = 0
+        stack = [ev]
+        while stack:
+            s = stack.pop()
+            memo += len(s._memo)
+            products += len(s._products)
+            relativised += len(s._relativised)
+            stack.extend(s._products.values())
+            stack.extend(s._relativised.values())
+        return ev._work.ticks, memo, products, relativised
+
+    @pytest.mark.parametrize(
+        "text,ext,work",
+        [
+            ("<a0> (exists r. (r & [] ~r))", {"w1", "w2"}, (32, 164, 1, 0)),
+            ("exists p. <a1> (<> p & [] q)", set(), (8, 78, 8, 0)),
+            ("<!p | q> (~p & [!<> q] <> q)", {"w0", "w2"}, (0, 14, 0, 2)),
+            ("nu x. (q & <> x)", {"w0", "w2"}, (0, 8, 0, 0)),
+            # a node over four props is memoised while at most three are bound
+            ("exists r. (<> r & (r | p | q | s))", {"w0", "w1", "w2"}, (5, 34, 0, 0)),
+            (
+                "exists r. exists s. exists t. exists u. (<> (r & s & t & u) | p)",
+                {"w0", "w1", "w2"},
+                (672, 180, 0, 0),
+            ),
+        ],
+    )
+    def test_direct(self, text, ext, work):
+        ev = Evaluator(three_cycle(), events=two_events())
+        assert ev.extension(parse_formula(text)) == ext
+        assert self.counters(ev) == work
+
+    def test_rewritten(self):
+        chi = translate_event(two_events(), "a0", parse_formula("exists r. (r & <> ~r)"))
+        ev = Evaluator(three_cycle())
+        assert ev.extension(chi) == {"w0", "w1", "w2"}
+        assert self.counters(ev) == (25, 322, 0, 0)
