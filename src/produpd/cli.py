@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 1 on property failures or semantic errors
 (unresolvable nominals, exhausted budgets, failing fuzz suites), 2 on
-usage or parse errors and on formulas nested too deeply for the recursive
-parser, printer, rewriter or evaluator (`error: formula nested too
-deeply`).  Every subcommand emits machine-readable JSON with
---json and human-readable text otherwise; diagnostics go to stderr.
+usage or parse errors (input that is not valid UTF-8 among them) and on
+formulas nested too deeply for the recursive parser, printer, rewriter or
+evaluator (`error: formula nested too deeply`).  Every subcommand emits
+machine-readable JSON with --json and human-readable text otherwise;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -48,14 +49,21 @@ def _budget() -> EvalBudget:
 def _read_formula_arg(value: str):
     if value.startswith("@"):
         path = value[1:]
-        text = sys.stdin.read() if path == "-" else _read_file(path)
+        text = _decoded("<stdin>", sys.stdin.read) if path == "-" else _read_file(path)
         return parse_formula(text)
     return parse_formula(value)
 
 
 def _read_file(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return _decoded(path, fh.read)
+
+
+def _decoded(name: str, read) -> str:
+    try:
+        return read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot decode {name}: {e}") from e
 
 
 def _sanity_model(props) -> KripkeModel:

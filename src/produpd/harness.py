@@ -180,9 +180,7 @@ def random_model(cfg: FuzzConfig, case_index: int, *, label="model", max_worlds=
 def _random_static(rng, size, props, *, allow_global=True) -> Formula:
     """Quantifier-free formula over `props`, optionally without the global
     modalities (for the fragments that need finite degree)."""
-    return _gen_formula(
-        rng, size, props, nominal_count=0, allow_global=allow_global, eps=[0]
-    )
+    return _gen_formula(rng, size, props, allow_global=allow_global)
 
 
 def random_event_model(
@@ -226,12 +224,12 @@ def _gen_formula(
     allow_nu=False,
     dyn_events=(),
     nu_avoid=frozenset(),
-    favored_var=None,
-    pos_vars=None,
-    parity=True,
+    positive_var=None,
 ) -> Formula:
+    """Random formula of the given size.  `positive_var`, when given, occurs
+    only positively (it is about to be bound by a fixpoint) and is the
+    preferred atom."""
     eps = eps if eps is not None else [0]
-    pos_vars = dict(pos_vars or {})
     nu_vars = [p for p in props if p not in nu_avoid]
 
     def leaf(parity, pos):
@@ -243,8 +241,8 @@ def _gen_formula(
             options.append(("nominal", 2))
         kind = _pick(rng, options)
         if kind == "atom":
-            if favored_var in atoms and rng.random() < 0.4:
-                return Atom(favored_var)
+            if positive_var in atoms and rng.random() < 0.4:
+                return Atom(positive_var)
             return Atom(rng.choice(atoms))
         if kind == "nominal":
             return Nominal(rng.randrange(nominal_count))
@@ -307,7 +305,7 @@ def _gen_formula(
             return ActionDiamond(rng.choice(dyn_events), gen(size - 1, parity, pos))
         raise AssertionError(kind)
 
-    return gen(size, parity, pos_vars)
+    return gen(size, True, {} if positive_var is None else {positive_var: True})
 
 
 def random_formula(
@@ -339,8 +337,7 @@ def random_formula(
             cfg.props,
             allow_global=False,
             allow_nu=True,
-            pos_vars={var: True},
-            favored_var=var,
+            positive_var=var,
         )
         return Nu(var, body)
     raise ValueError(f"unsupported generation fragment: {language}")
@@ -355,8 +352,7 @@ def _positive_body(cfg, case_index, var, *, label="body") -> Formula:
         cfg.props,
         allow_global=False,
         allow_nu=True,
-        pos_vars={var: True},
-        favored_var=var,
+        positive_var=var,
     )
 
 

@@ -18,6 +18,11 @@ Identifiers start with a lowercase letter and may not look like a nominal
 ("j" followed by digits).  Names starting with "_" are reserved for the
 rewriter's fresh propositions; only those ("_f0", "_f1", ...) are accepted
 back, so that printed rewrite output always re-parses.
+
+The connective table `_CONNECTIVES` is the one place where a connective
+is spelled: for each group (prefix, infix loosest first, binder, constant)
+it maps token kind -> (lexeme, node class).  The lexer, the parser and the
+printer all read it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     EmptyDomain,
@@ -64,11 +70,51 @@ class SourceSpan:
     line: int
 
 
-_KEYWORDS = {"exists", "forall", "nu", "true", "false"}
+_CONNECTIVES = {
+    "prefix": {
+        "NOT": ("~", Not),
+        "BOX": ("[]", Box),
+        "DIAMOND": ("<>", Diamond),
+        "GLOBAL": ("U", Global),
+        "EGLOBAL": ("E", ExistsGlobal),
+    },
+    "infix": {"ARROW": ("->", Implies), "OR": ("|", Or), "AND": ("&", And)},
+    "binder": {
+        "EXISTS": ("exists", ExistsProp),
+        "FORALL": ("forall", ForallProp),
+        "NU": ("nu", Nu),
+    },
+    "constant": {"TRUE": ("true", Top), "FALSE": ("false", Bottom)},
+}
+_PREFIX, _INFIX, _BINDER, _CONSTANT = _CONNECTIVES.values()
+_INFIX_LEVELS = list(_INFIX.items())
+
+# lexeme -> token kind: the connectives, then the brackets
+_LEXEMES = {
+    lexeme: kind for group in _CONNECTIVES.values() for kind, (lexeme, _) in group.items()
+} | {
+    "[!": "LANN_BOX",
+    "<!": "LANN",
+    "<": "LANGLE",
+    ">": "RANGLE",
+    "]": "RBRACKET",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    ".": "DOT",
+}
+_KEYWORDS = frozenset(lexeme for lexeme in _LEXEMES if lexeme.isalpha())
+_PUNCTUATION = sorted(set(_LEXEMES) - _KEYWORDS, key=lambda p: (-len(p), p))
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|"
+    + "|".join(map(re.escape, _PUNCTUATION))
+    + "|."
+)
+# the first character of a two-character lexeme, alone
+_UNFINISHED = {"-": "expected '->'", "[": "expected '[]' or '[!'"}
+_ATOM_STARTS = (*(lexeme for lexeme, _ in _CONSTANT.values()), "IDENT", "NOMINAL", "(")
 _NOMINAL_RE = re.compile(r"^j[0-9]+$")
 _IDENT_RE = re.compile(r"^[a-z][a-zA-Z0-9_]*$")
 _FRESH_RE = re.compile(r"^_f[0-9]+$")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def valid_prop_name(name: str) -> bool:
@@ -79,8 +125,7 @@ def valid_prop_name(name: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     span: SourceSpan
@@ -88,93 +133,29 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
     line = 1
-    n = len(text)
-
-    def tok(kind, value, start):
-        tokens.append(_Token(kind, value, SourceSpan(start, i, line)))
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        value = m.group()
+        group = m.lastgroup
+        if group == "space":
+            line += value.count("\n")
             continue
-        if c.isspace():
-            i += 1
-            continue
-        start = i
-        if c == "-":
-            if text[i : i + 2] == "->":
-                i += 2
-                tok("ARROW", "->", start)
-                continue
-            raise ParseError("expected '->'", SourceSpan(start, i + 1, line))
-        if c == "[":
-            nxt = text[i + 1 : i + 2]
-            if nxt == "]":
-                i += 2
-                tok("BOX", "[]", start)
-                continue
-            if nxt == "!":
-                i += 2
-                tok("LANN_BOX", "[!", start)
-                continue
-            raise ParseError("expected '[]' or '[!'", SourceSpan(start, i + 1, line))
-        if c == "<":
-            nxt = text[i + 1 : i + 2]
-            if nxt == ">":
-                i += 2
-                tok("DIAMOND", "<>", start)
-                continue
-            if nxt == "!":
-                i += 2
-                tok("LANN", "<!", start)
-                continue
-            i += 1
-            tok("LANGLE", "<", start)
-            continue
-        if c in "]>().&|~":
-            i += 1
-            kinds = {
-                "]": "RBRACKET",
-                ">": "RANGLE",
-                "(": "LPAREN",
-                ")": "RPAREN",
-                ".": "DOT",
-                "&": "AND",
-                "|": "OR",
-                "~": "NOT",
-            }
-            tok(kinds[c], c, start)
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            i = m.end()
-            span = SourceSpan(start, i, line)
-            if word == "U":
-                tokens.append(_Token("GLOBAL", word, span))
-            elif word == "E":
-                tokens.append(_Token("EGLOBAL", word, span))
-            elif word in _KEYWORDS:
-                tokens.append(_Token(word.upper(), word, span))
-            elif _NOMINAL_RE.match(word):
-                tokens.append(_Token("NOMINAL", word, span))
-            elif word.startswith("_"):
-                if not _FRESH_RE.match(word):
-                    raise ParseError(
-                        f"names starting with '_' are reserved: {word!r}", span
-                    )
-                tokens.append(_Token("IDENT", word, span))
-            elif _IDENT_RE.match(word):
-                tokens.append(_Token("IDENT", word, span))
+        span = SourceSpan(m.start(), m.end(), line)
+        kind = _LEXEMES.get(value)
+        if kind is None:
+            if group != "word":
+                message = _UNFINISHED.get(value, f"unexpected character {value!r}")
+                raise ParseError(message, span)
+            if _NOMINAL_RE.match(value):
+                kind = "NOMINAL"
+            elif valid_prop_name(value):
+                kind = "IDENT"
+            elif value.startswith("_"):
+                raise ParseError(f"names starting with '_' are reserved: {value!r}", span)
             else:
-                raise ParseError(f"bad identifier {word!r}", span)
-            continue
-        raise ParseError(f"unexpected character {c!r}", SourceSpan(start, i + 1, line))
-    tokens.append(_Token("EOF", "", SourceSpan(n, n, line)))
+                raise ParseError(f"bad identifier {value!r}", span)
+        tokens.append(_Token(kind, value, span))
+    tokens.append(_Token("EOF", "", SourceSpan(len(text), len(text), line)))
     return tokens
 
 
@@ -196,79 +177,55 @@ class _Parser:
         return t
 
     def formula(self) -> Formula:
-        t = self.peek()
-        if t.kind in ("EXISTS", "FORALL", "NU"):
+        binder = _BINDER.get(self.peek().kind)
+        if binder:
             self.pos += 1
             var = self.take("IDENT").value
             self.take("DOT")
-            body = self.formula()
-            node = {"EXISTS": ExistsProp, "FORALL": ForallProp, "NU": Nu}[t.kind]
-            return node(var, body)
-        return self.implied()
+            return binder[1](var, self.formula())
+        return self.infix()
 
-    def implied(self) -> Formula:
-        left = self.ored()
-        if self.peek().kind == "ARROW":
+    def infix(self, level: int = 0) -> Formula:
+        # implied, ored and anded of the grammar: one level of `_INFIX`
+        # each, loosest first; `->` groups to the right, the others left
+        kind, (_, node) = _INFIX_LEVELS[level]
+        tighter = level + 1 < len(_INFIX_LEVELS)
+        out = self.infix(level + 1) if tighter else self.unary()
+        if kind == "ARROW" and self.peek().kind == kind:
             self.pos += 1
-            return Implies(left, self.implied())
-        return left
-
-    def ored(self) -> Formula:
-        out = self.anded()
-        while self.peek().kind == "OR":
+            return node(out, self.infix(level))
+        while self.peek().kind == kind:
             self.pos += 1
-            out = Or(out, self.anded())
-        return out
-
-    def anded(self) -> Formula:
-        out = self.unary()
-        while self.peek().kind == "AND":
-            self.pos += 1
-            out = And(out, self.unary())
+            out = node(out, self.infix(level + 1) if tighter else self.unary())
         return out
 
     def unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "NOT":
+        kind = self.peek().kind
+        prefix = _PREFIX.get(kind)
+        if prefix:
             self.pos += 1
-            return Not(self.unary())
-        if t.kind == "BOX":
-            self.pos += 1
-            return Box(self.unary())
-        if t.kind == "DIAMOND":
-            self.pos += 1
-            return Diamond(self.unary())
-        if t.kind == "GLOBAL":
-            self.pos += 1
-            return Global(self.unary())
-        if t.kind == "EGLOBAL":
-            self.pos += 1
-            return ExistsGlobal(self.unary())
-        if t.kind == "LANGLE":
+            return prefix[1](self.unary())
+        if kind == "LANGLE":
             self.pos += 1
             event = self.take("IDENT").value
             self.take("RANGLE")
             return ActionDiamond(event, self.unary())
-        if t.kind == "LANN":
+        if kind == "LANN" or kind == "LANN_BOX":
             self.pos += 1
             announced = self.formula()
-            self.take("RANGLE")
-            return Announce(announced, self.unary())
-        if t.kind == "LANN_BOX":
-            self.pos += 1
-            announced = self.formula()
+            if kind == "LANN":
+                self.take("RANGLE")
+                return Announce(announced, self.unary())
             self.take("RBRACKET")
             return Not(Announce(announced, Not(self.unary())))
         return self.atom()
 
     def atom(self) -> Formula:
         t = self.peek()
-        if t.kind == "TRUE":
+        constant = _CONSTANT.get(t.kind)
+        if constant:
             self.pos += 1
-            return Top()
-        if t.kind == "FALSE":
-            self.pos += 1
-            return Bottom()
+            return constant[1]()
         if t.kind == "IDENT":
             self.pos += 1
             return Atom(t.value)
@@ -281,9 +238,7 @@ class _Parser:
             self.take("RPAREN")
             return out
         raise ParseError(
-            f"expected a formula but found {t.value!r}",
-            t.span,
-            expected=("true", "false", "IDENT", "NOMINAL", "("),
+            f"expected a formula but found {t.value!r}", t.span, expected=_ATOM_STARTS
         )
 
 
@@ -299,51 +254,42 @@ def parse_formula(text: str) -> Formula:
     return phi
 
 
-_QUANT_NODES = (ExistsProp, ForallProp, Nu)
+# node class -> (its group in the connective table, printed text); a prefix
+# is printed with one space before its operand, except `~`
+_SPELLING = {
+    node: (group, lexeme + " " if group is _PREFIX and lexeme != "~" else lexeme)
+    for group in _CONNECTIVES.values()
+    for lexeme, node in group.values()
+}
+_BINDER_NODES = frozenset(node for _, node in _BINDER.values())
 
 
 def _operand(phi: Formula) -> str:
     # binaries print their own parentheses; only binder scopes need help
     s = print_formula(phi)
-    return f"({s})" if isinstance(phi, _QUANT_NODES) else s
+    return f"({s})" if type(phi) in _BINDER_NODES else s
 
 
 def print_formula(phi: Formula) -> str:
     """Fully parenthesised rendering; reparsing yields the same tree."""
-    if isinstance(phi, Atom):
+    cls = type(phi)
+    group, text = _SPELLING.get(cls, (None, None))
+    if group is _INFIX:
+        return f"({_operand(phi.left)} {text} {_operand(phi.right)})"
+    if group is _PREFIX:
+        return text + _operand(phi.body)
+    if group is _BINDER:
+        return f"{text} {phi.var}. {print_formula(phi.body)}"
+    if group is _CONSTANT:
+        return text
+    if cls is Atom:
         return phi.name
-    if isinstance(phi, Nominal):
+    if cls is Nominal:
         return f"j{phi.index}"
-    if isinstance(phi, Top):
-        return "true"
-    if isinstance(phi, Bottom):
-        return "false"
-    if isinstance(phi, Not):
-        return "~" + _operand(phi.body)
-    if isinstance(phi, Box):
-        return "[] " + _operand(phi.body)
-    if isinstance(phi, Diamond):
-        return "<> " + _operand(phi.body)
-    if isinstance(phi, Global):
-        return "U " + _operand(phi.body)
-    if isinstance(phi, ExistsGlobal):
-        return "E " + _operand(phi.body)
-    if isinstance(phi, ActionDiamond):
+    if cls is ActionDiamond:
         return f"<{phi.event}> " + _operand(phi.body)
-    if isinstance(phi, Announce):
+    if cls is Announce:
         return f"<!{print_formula(phi.announced)}> " + _operand(phi.body)
-    if isinstance(phi, And):
-        return f"({_operand(phi.left)} & {_operand(phi.right)})"
-    if isinstance(phi, Or):
-        return f"({_operand(phi.left)} | {_operand(phi.right)})"
-    if isinstance(phi, Implies):
-        return f"({_operand(phi.left)} -> {_operand(phi.right)})"
-    if isinstance(phi, ExistsProp):
-        return f"exists {phi.var}. {print_formula(phi.body)}"
-    if isinstance(phi, ForallProp):
-        return f"forall {phi.var}. {print_formula(phi.body)}"
-    if isinstance(phi, Nu):
-        return f"nu {phi.var}. {print_formula(phi.body)}"
     raise TypeError(f"not a formula node: {phi!r}")
 
 
@@ -380,7 +326,10 @@ def _edge_list(data, members, error_cls) -> frozenset[tuple[str, str]]:
 
 
 def parse_model(text: str) -> KripkeModel:
-    data = _load_json(text)
+    return _model_from(_load_json(text))
+
+
+def _model_from(data: dict) -> KripkeModel:
     worlds = _string_list(data, "worlds")
     if not worlds:
         raise EmptyDomain("a model needs at least one world")
@@ -408,8 +357,8 @@ def parse_model(text: str) -> KripkeModel:
 
 def parse_tagged_model(text: str) -> TaggedModel:
     """Model JSON with an optional "tags" object mapping worlds to events."""
-    m = parse_model(text)
     data = _load_json(text)
+    m = _model_from(data)
     raw_tags = data.get("tags", {})
     if not isinstance(raw_tags, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in raw_tags.items()

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -264,6 +266,34 @@ class TestDeepNesting:
         deep.write_text("[] " * 400 + "p")
         assert run(["eval", "--model", str(model), "--formula", f"@{deep}"]) == 0
         assert capsys.readouterr().out == "w0 w1\n"
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("command", ["parse", "eval", "translate"])
+    def test_exit_2_with_one_line(
+        self, command, model_file, events_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe[] p")
+        argv = {
+            "parse": ["parse", f"@{bad}"],
+            "eval": ["eval", "--model", str(bad), "--formula", "p"],
+            "translate": [
+                "translate", "--events", str(bad), "--event", "a0", "--formula", "p",
+            ],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot decode {bad}: ")
+        assert err.count("\n") == 1
+
+    def test_stdin(self, monkeypatch, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe[] p"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(["parse", "@-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot decode <stdin>: ")
+        assert err.count("\n") == 1
 
 
 class TestUsage:

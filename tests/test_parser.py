@@ -34,6 +34,7 @@ from produpd import (
     random_formula,
     random_model,
 )
+from produpd import parser
 from produpd.harness import FuzzConfig
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -154,6 +155,32 @@ class TestModelJson:
             back = parse_tagged_model(text)
             assert back == tm
             assert dump_tagged_model(back) == text
+
+    def test_tagged_decodes_once(self, monkeypatch):
+        calls = []
+        load = parser._load_json
+
+        def counting(text):
+            calls.append(text)
+            return load(text)
+
+        monkeypatch.setattr(parser, "_load_json", counting)
+        text = '{"worlds":["w0"],"rel":[],"val":{},"tags":{"w0":"a0"}}'
+        assert parse_tagged_model(text).tags == {"w0": "a0"}
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("[1]", "expected a JSON object"),
+            ('{"worlds":[],"tags":7}', "a model needs at least one world"),
+            ('{"worlds":["w0"],"tags":7}', "'tags' must map worlds to event names"),
+            ('{"worlds":["w0","w1"],"tags":{"w0":"a0"}}', "'tags' must be empty or total"),
+        ],
+    )
+    def test_tagged_error_order(self, text, error):
+        with pytest.raises(ParseError, match=error):
+            parse_tagged_model(text)
 
 
 class TestEventModelJson:
