@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import cache
 
 from .errors import ParseError, PositivityViolation, ProdupdError
 from .harness import SUITE_NAMES, FuzzConfig, run_fuzz
@@ -238,6 +239,7 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
+@cache  # built on the first `run` and reused: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="produpd",

@@ -23,6 +23,12 @@ The connective table `_CONNECTIVES` is the one place where a connective
 is spelled: for each group (prefix, infix loosest first, binder, constant)
 it maps token kind -> (lexeme, node class).  The lexer, the parser and the
 printer all read it.
+
+Parsed nodes are hash-consed like all nodes, so re-parsing printed text
+returns the very formula that was printed.  The printer keeps each node's
+text on the node, so a rewritten tree is rendered once per distinct
+subterm.  Names in JSON files must match their pattern in full (no
+trailing newline).
 """
 
 from __future__ import annotations
@@ -112,17 +118,23 @@ _TOKEN_RE = re.compile(
 # the first character of a two-character lexeme, alone
 _UNFINISHED = {"-": "expected '->'", "[": "expected '[]' or '[!'"}
 _ATOM_STARTS = (*(lexeme for lexeme, _ in _CONSTANT.values()), "IDENT", "NOMINAL", "(")
-_NOMINAL_RE = re.compile(r"^j[0-9]+$")
-_IDENT_RE = re.compile(r"^[a-z][a-zA-Z0-9_]*$")
-_FRESH_RE = re.compile(r"^_f[0-9]+$")
+# names are checked with `fullmatch`: `$` would also match before a final
+# newline and admit "p\n", a name no formula can mention
+_NOMINAL_RE = re.compile(r"j[0-9]+")
+_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+_FRESH_RE = re.compile(r"_f[0-9]+")
+
+
+def _plain_name(name: str) -> bool:
+    return bool(
+        _IDENT_RE.fullmatch(name)
+        and name not in _KEYWORDS
+        and not _NOMINAL_RE.fullmatch(name)
+    )
 
 
 def valid_prop_name(name: str) -> bool:
-    if _FRESH_RE.match(name):
-        return True
-    return bool(
-        _IDENT_RE.match(name) and name not in _KEYWORDS and not _NOMINAL_RE.match(name)
-    )
+    return bool(_FRESH_RE.fullmatch(name)) or _plain_name(name)
 
 
 class _Token(NamedTuple):
@@ -146,7 +158,7 @@ def _lex(text: str) -> list[_Token]:
             if group != "word":
                 message = _UNFINISHED.get(value, f"unexpected character {value!r}")
                 raise ParseError(message, span)
-            if _NOMINAL_RE.match(value):
+            if _NOMINAL_RE.fullmatch(value):
                 kind = "NOMINAL"
             elif valid_prop_name(value):
                 kind = "IDENT"
@@ -271,26 +283,36 @@ def _operand(phi: Formula) -> str:
 
 
 def print_formula(phi: Formula) -> str:
-    """Fully parenthesised rendering; reparsing yields the same tree."""
+    """Fully parenthesised rendering; reparsing yields the same tree.
+
+    A node's text does not depend on where the node occurs, so it is kept
+    on the node and each distinct subterm is rendered once.
+    """
+    text = getattr(phi, "_text", None)
+    if text is not None:
+        return text
     cls = type(phi)
     group, text = _SPELLING.get(cls, (None, None))
     if group is _INFIX:
-        return f"({_operand(phi.left)} {text} {_operand(phi.right)})"
-    if group is _PREFIX:
-        return text + _operand(phi.body)
-    if group is _BINDER:
-        return f"{text} {phi.var}. {print_formula(phi.body)}"
-    if group is _CONSTANT:
-        return text
-    if cls is Atom:
-        return phi.name
-    if cls is Nominal:
-        return f"j{phi.index}"
-    if cls is ActionDiamond:
-        return f"<{phi.event}> " + _operand(phi.body)
-    if cls is Announce:
-        return f"<!{print_formula(phi.announced)}> " + _operand(phi.body)
-    raise TypeError(f"not a formula node: {phi!r}")
+        text = f"({_operand(phi.left)} {text} {_operand(phi.right)})"
+    elif group is _PREFIX:
+        text = text + _operand(phi.body)
+    elif group is _BINDER:
+        text = f"{text} {phi.var}. {print_formula(phi.body)}"
+    elif group is _CONSTANT:
+        pass  # the spelling is the text
+    elif cls is Atom:
+        text = phi.name
+    elif cls is Nominal:
+        text = f"j{phi.index}"
+    elif cls is ActionDiamond:
+        text = f"<{phi.event}> " + _operand(phi.body)
+    elif cls is Announce:
+        text = f"<!{print_formula(phi.announced)}> " + _operand(phi.body)
+    else:
+        raise TypeError(f"not a formula node: {phi!r}")
+    object.__setattr__(phi, "_text", text)
+    return text
 
 
 def _load_json(text: str) -> dict:
@@ -377,7 +399,7 @@ def parse_event_model(text: str) -> EventModel:
     if len(set(events)) != len(events):
         raise ParseError("duplicate event identifiers")
     for e in events:
-        if not (_IDENT_RE.match(e) and e not in _KEYWORDS and not _NOMINAL_RE.match(e)):
+        if not _plain_name(e):
             raise ParseError(f"bad event name {e!r}")
     eset = set(events)
     relation = _edge_list(data, eset, ParseError)

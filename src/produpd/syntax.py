@@ -9,19 +9,23 @@ first-class display nodes so that rewritten output stays readable; every
 measure and every semantic clause treats them by their expansions.
 
 Rewritten output is a tree that grows much faster than its set of distinct
-subterms, so the whole-subtree queries (`free_props`, `formula_size`,
-`quantifier_count`, `contains_node`) do not walk the tree.  Each node
-object computes one facts record the first time it is asked, from its
-children's records, and keeps it; every later query is O(1).  The walks
-that remain (positivity, nominal scoping) skip subtrees whose record shows
-there is nothing to find.
+subterms, so nodes are hash-consed: structurally equal formulas are one
+object (see `Formula`).  The whole-subtree queries (`free_props`,
+`formula_size`, `quantifier_count`, `contains_node`) do not walk the
+tree.  Each node computes one facts record the first time it is asked,
+from its children's records, and keeps it, so facts are computed once per
+distinct subterm and every later query is O(1).  The walks that remain
+(positivity, nominal scoping) skip subtrees whose record shows there is
+nothing to find, and `substitute` and `all_props` visit each distinct
+subterm once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 from .errors import InputNotSentenceFragment, PositivityViolation
@@ -30,14 +34,51 @@ FRESH_PREFIX = "_f"
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable.
+    """Base class for formula nodes.  Instances are immutable and hash-consed.
 
-    The `_facts` slot holds the node's `_Facts` once computed.  It is not a
-    dataclass field, so equality, hashing, repr and pickling ignore it, and
-    a copy made by pickling or `dataclasses.replace` computes its own.
+    Constructing a node returns the live node with the same class and
+    fields if there is one, so structurally equal formulas are one object,
+    and `==` and `hash` are identity.  Each class keeps a table from the
+    field tuple (children by identity) to a weak reference to its node; an
+    entry goes when its node does.  Pickling, copying and
+    `dataclasses.replace` return the interned node.
+
+    The `_facts` and `_text` slots cache the node's `_Facts` and its
+    printed text once computed.  They are not dataclass fields, so repr
+    and pickling ignore them.
     """
 
-    __slots__ = ("_facts",)
+    __slots__ = ("_facts", "_text", "__weakref__")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._nodes = {}
+
+    def __new__(cls, *args, **fields):
+        if fields:  # dataclasses.replace passes every field by name
+            names = cls.__match_args__[len(args):]
+            args = (*args, *[fields.pop(f) for f in names if f in fields])
+            if fields:
+                raise TypeError(f"{cls.__name__}() has no fields {sorted(fields)}")
+        nodes = cls._nodes
+        ref = nodes.get(args)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(args) != len(cls.__match_args__):
+            raise TypeError(f"{cls.__name__}() takes fields {cls.__match_args__}")
+        node = _new(cls)
+        for name, value in zip(cls.__match_args__, args):
+            _set(node, name, value)
+        nodes[args] = _ref(node, partial(_forget, nodes, args))
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __deepcopy__(self, memo):
+        return self  # immutable, and a walk would recurse once per level
 
     def __str__(self) -> str:
         from .parser import print_formula  # parser imports syntax
@@ -45,76 +86,92 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
+_new = object.__new__
+_set = object.__setattr__
+_ref = weakref.ref
+
+
+def _forget(nodes: dict, args: tuple, ref) -> None:
+    # a later node with the same fields may already hold the entry
+    if nodes.get(args) is ref:
+        del nodes[args]
+
+
+def _node(cls):
+    """Slotted frozen dataclass whose construction is `Formula.__new__`."""
+    return dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Nominal(Formula):
     """Nullary modality true at product worlds built from the i-th event."""
 
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Box(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Diamond(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Global(Formula):
     """Universal modality: true iff the body holds at every world."""
 
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ExistsGlobal(Formula):
     """Somewhere modality, the dual of Global."""
 
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ExistsProp(Formula):
     """Second-order quantifier over subsets of the domain."""
 
@@ -122,13 +179,13 @@ class ExistsProp(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ForallProp(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Nu(Formula):
     """Greatest fixpoint binder; the body must be positive in the variable."""
 
@@ -136,7 +193,7 @@ class Nu(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ActionDiamond(Formula):
     """Event modality <e>: the event's precondition holds here and the body
     holds at the corresponding world of the product model."""
@@ -145,7 +202,7 @@ class ActionDiamond(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Announce(Formula):
     """Announcement modality <!A>: A holds here and the body holds at the
     same world of the model relativised to A."""
@@ -191,7 +248,8 @@ def children(phi: Formula) -> tuple[Formula, ...]:
 
 
 def rebuild(phi: Formula, parts: tuple[Formula, ...]) -> Formula:
-    """Rebuild a node with new children, reusing the original when unchanged."""
+    """Rebuild a node with new children, reusing the original when unchanged
+    (the parts compare by identity, as nodes do)."""
     if parts == children(phi):
         return phi
     if isinstance(phi, _UNARY):
@@ -288,14 +346,20 @@ def free_props(phi: Formula) -> frozenset[str]:
 
 def all_props(phi: Formula) -> frozenset[str]:
     """Every proposition name occurring anywhere, bound or free."""
-    if isinstance(phi, Atom):
-        return frozenset((phi.name,))
-    out: frozenset[str] = frozenset()
-    if isinstance(phi, _BINDERS):
-        out |= {phi.var}
-    for c in children(phi):
-        out |= all_props(c)
-    return out
+    out: set[str] = set()
+    seen: set[Formula] = set()
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        if isinstance(f, Atom):
+            out.add(f.name)
+        elif isinstance(f, _BINDERS):
+            out.add(f.var)
+        stack.extend(children(f))
+    return frozenset(out)
 
 
 def formula_size(phi: Formula) -> int:
@@ -352,21 +416,29 @@ def substitute(phi: Formula, target: str, replacement: Formula) -> Formula:
     renamed deterministically to reserved fresh names.
     """
     repl_free = free_props(replacement)
+    done: dict[Formula, Formula] = {}
 
     def go(f: Formula) -> Formula:
         if target not in free_props(f):
             return f
+        out = done.get(f)
+        if out is not None:
+            return out
         if isinstance(f, Atom):
-            return replacement if f.name == target else f
-        if isinstance(f, _BINDERS):
+            out = replacement if f.name == target else f
+        elif isinstance(f, _BINDERS):
             # target is free in f, hence distinct from the binder variable
             if f.var in repl_free:
                 avoid = all_props(f.body) | repl_free | {target, f.var}
                 fresh = fresh_props(1, avoid)[0]
                 renamed = substitute(f.body, f.var, Atom(fresh))
-                return type(f)(fresh, go(renamed))
-            return type(f)(f.var, go(f.body))
-        return rebuild(f, tuple(go(c) for c in children(f)))
+                out = type(f)(fresh, go(renamed))
+            else:
+                out = type(f)(f.var, go(f.body))
+        else:
+            out = rebuild(f, tuple(go(c) for c in children(f)))
+        done[f] = out
+        return out
 
     return go(phi)
 

@@ -12,6 +12,14 @@ Every recursive event-translation call strictly decreases the pair
 (quantifier count, size) lexicographically: the quantifier case trades
 one binder for a quantifier-free disjunction, all other cases recurse on
 smaller formulas.  The check is enforced at run time.
+
+The rules repeat the same subproblem for every path through the event
+model, so the output is a tree far larger than its set of distinct
+subterms.  Nodes are hash-consed (see `syntax`), and within one call each
+(event, node) or (announced formula, node) pair is rewritten once: a
+repeat returns the memoised result and replays the span of the steps
+trace that the first rewrite recorded, so output and trace are those of
+the unshared tree while the work follows the shared graph.
 """
 
 from __future__ import annotations
@@ -98,6 +106,8 @@ class TranslationReport:
 def expand_foralls(phi: Formula) -> Formula:
     """Replace every universal propositional quantifier by its negation
     expansion, so downstream rules only meet the existential binder."""
+    if not contains_node(phi, ForallProp):
+        return phi
     parts = tuple(expand_foralls(c) for c in children(phi))
     out = rebuild(phi, parts)
     if isinstance(out, ForallProp):
@@ -107,8 +117,18 @@ def expand_foralls(phi: Formula) -> Formula:
 
 def fold_constants(phi: Formula) -> Formula:
     """Boolean constant folding, nothing else."""
-    parts = tuple(fold_constants(c) for c in children(phi))
-    out = rebuild(phi, parts)
+    done: dict[Formula, Formula] = {}
+
+    def go(f: Formula) -> Formula:
+        out = done.get(f)
+        if out is None:
+            out = done[f] = _fold(rebuild(f, tuple(go(c) for c in children(f))))
+        return out
+
+    return go(phi)
+
+
+def _fold(out: Formula) -> Formula:
     if isinstance(out, Not):
         if isinstance(out.body, Top):
             return Bottom()
@@ -161,6 +181,10 @@ def translate_event(
     fixpoints.  `measure_log` collects (parent, child) measure pairs for
     every recursive call; the strict lexicographic decrease is checked
     regardless.
+
+    Each (event, node) pair is rewritten once per call: a repeat returns
+    the memoised result and replays the slice of `steps` that the first
+    rewrite recorded, so the trace is that of the unshared tree.
     """
     if alpha not in a.pre:
         raise UnknownEvent(f"unknown event {alpha!r}")
@@ -171,10 +195,10 @@ def translate_event(
     prepared = expand_foralls(psi)
     if prepared is not psi:
         _record(steps, "expand-forall", alpha, psi)
-    return _tr_event(a, alpha, prepared, steps, measure_log, None)
+    return _tr_event(a, alpha, prepared, steps, measure_log, None, {})
 
 
-def _tr_event(a, alpha, psi, steps, log, parent) -> Formula:
+def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
     m = _measure(psi)
     if parent is not None:
         if log is not None:
@@ -183,70 +207,77 @@ def _tr_event(a, alpha, psi, steps, log, parent) -> Formula:
             raise ProdupdError(
                 f"translation measure did not decrease: {parent} -> {m}"
             )
+    key = (alpha, psi)
+    done = memo.get(key)
+    if done is not None:
+        return _replay(steps, done)
+    start = None if steps is None else len(steps)
     pre = a.pre[alpha]
     if isinstance(psi, (Atom, Top, Bottom)):
         _record(steps, "atom", alpha, psi)
-        return And(pre, psi)
-    if isinstance(psi, Nominal):
+        out = And(pre, psi)
+    elif isinstance(psi, Nominal):
         if psi.index == a.index_of(alpha):
             _record(steps, "nominal-match", alpha, psi)
-            return pre
-        _record(steps, "nominal-mismatch", alpha, psi)
-        return Bottom()
-    if isinstance(psi, Not):
+            out = pre
+        else:
+            _record(steps, "nominal-mismatch", alpha, psi)
+            out = Bottom()
+    elif isinstance(psi, Not):
         _record(steps, "negation", alpha, psi)
-        return And(pre, Not(_tr_event(a, alpha, psi.body, steps, log, m)))
-    if isinstance(psi, And):
+        out = And(pre, Not(_tr_event(a, alpha, psi.body, steps, log, m, memo)))
+    elif isinstance(psi, And):
         _record(steps, "conjunction", alpha, psi)
-        return And(
-            _tr_event(a, alpha, psi.left, steps, log, m),
-            _tr_event(a, alpha, psi.right, steps, log, m),
+        out = And(
+            _tr_event(a, alpha, psi.left, steps, log, m, memo),
+            _tr_event(a, alpha, psi.right, steps, log, m, memo),
         )
-    if isinstance(psi, Or):
+    elif isinstance(psi, Or):
         _record(steps, "disjunction", alpha, psi)
-        return Or(
-            _tr_event(a, alpha, psi.left, steps, log, m),
-            _tr_event(a, alpha, psi.right, steps, log, m),
+        out = Or(
+            _tr_event(a, alpha, psi.left, steps, log, m, memo),
+            _tr_event(a, alpha, psi.right, steps, log, m, memo),
         )
-    if isinstance(psi, Implies):
+    elif isinstance(psi, Implies):
         _record(steps, "implication", alpha, psi)
-        return And(
+        out = And(
             pre,
             Implies(
-                _tr_event(a, alpha, psi.left, steps, log, m),
-                _tr_event(a, alpha, psi.right, steps, log, m),
+                _tr_event(a, alpha, psi.left, steps, log, m, memo),
+                _tr_event(a, alpha, psi.right, steps, log, m, memo),
             ),
         )
-    if isinstance(psi, Box):
+    elif isinstance(psi, Box):
         _record(steps, "box", alpha, psi)
         parts = [
-            Box(Implies(a.pre[b], _tr_event(a, b, psi.body, steps, log, m)))
+            Box(Implies(a.pre[b], _tr_event(a, b, psi.body, steps, log, m, memo)))
             for b in a.events
             if (alpha, b) in a.relation
         ]
-        return And(pre, conj(parts))
-    if isinstance(psi, Diamond):
+        out = And(pre, conj(parts))
+    elif isinstance(psi, Diamond):
         _record(steps, "diamond", alpha, psi)
         parts = [
-            Diamond(_tr_event(a, b, psi.body, steps, log, m))
+            Diamond(_tr_event(a, b, psi.body, steps, log, m, memo))
             for b in a.events
             if (alpha, b) in a.relation
         ]
-        return And(pre, disj(parts))
-    if isinstance(psi, Global):
+        out = And(pre, disj(parts))
+    elif isinstance(psi, Global):
         _record(steps, "global", alpha, psi)
         parts = [
-            Global(Implies(a.pre[b], _tr_event(a, b, psi.body, steps, log, m)))
+            Global(Implies(a.pre[b], _tr_event(a, b, psi.body, steps, log, m, memo)))
             for b in a.events
         ]
-        return And(pre, conj(parts))
-    if isinstance(psi, ExistsGlobal):
+        out = And(pre, conj(parts))
+    elif isinstance(psi, ExistsGlobal):
         _record(steps, "somewhere", alpha, psi)
         parts = [
-            ExistsGlobal(_tr_event(a, b, psi.body, steps, log, m)) for b in a.events
+            ExistsGlobal(_tr_event(a, b, psi.body, steps, log, m, memo))
+            for b in a.events
         ]
-        return And(pre, disj(parts))
-    if isinstance(psi, ExistsProp):
+        out = And(pre, disj(parts))
+    elif isinstance(psi, ExistsProp):
         _record(steps, "quantifier", alpha, psi)
         n = len(a.events)
         avoid = set(all_props(psi))
@@ -258,12 +289,22 @@ def _tr_event(a, alpha, psi, steps, log, parent) -> Formula:
         guards = [
             Global(Implies(Atom(names[i]), a.pre[a.events[i]])) for i in range(n)
         ]
-        inner = _tr_event(a, alpha, body, steps, log, m)
+        inner = _tr_event(a, alpha, body, steps, log, m, memo)
         out = conj(guards + [inner])
         for name in reversed(names):
             out = ExistsProp(name, out)
-        return out
-    raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
+    else:
+        raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
+    memo[key] = (out, start, None if steps is None else len(steps))
+    return out
+
+
+def _replay(steps, done) -> Formula:
+    """A memoised rewrite's output, re-recording the steps it recorded."""
+    out, start, end = done
+    if steps is not None:
+        steps.extend(steps[start:end])
+    return out
 
 
 def translate_announcement(
@@ -273,7 +314,9 @@ def translate_announcement(
 
     The announced formula must be in the base language.  `psi` may contain
     nominals (they are untouched by relativisation) and nested
-    announcements, but no event diamonds or fixpoints.
+    announcements, but no event diamonds or fixpoints.  As in
+    `translate_event`, each (announced, node) pair is rewritten once per
+    call and a repeat replays its steps.
     """
     if classify(announced) is not LanguageTag.BASE_MSO:
         raise PreconditionNotBaseMso("announced formula is not in the base language")
@@ -282,7 +325,7 @@ def translate_announcement(
             "announcement translation takes formulas without event or fixpoint nodes"
         )
     prepared = expand_foralls(psi)
-    return _tr_ann(announced, prepared, steps)
+    return _tr_ann(announced, prepared, steps, {})
 
 
 def _ann_record(steps, rule: str, announced: Formula, psi: Formula):
@@ -290,37 +333,43 @@ def _ann_record(steps, rule: str, announced: Formula, psi: Formula):
         steps.append(TranslationStep(rule, print_formula(Announce(announced, psi))))
 
 
-def _tr_ann(a: Formula, psi: Formula, steps) -> Formula:
+def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
+    key = (a, psi)
+    done = memo.get(key)
+    if done is not None:
+        return _replay(steps, done)
+    start = None if steps is None else len(steps)
     if isinstance(psi, (Atom, Top, Bottom, Nominal)):
         _ann_record(steps, "ann-atom", a, psi)
-        return And(a, psi)
-    if isinstance(psi, Not):
+        out = And(a, psi)
+    elif isinstance(psi, Not):
         _ann_record(steps, "ann-negation", a, psi)
-        return And(a, Not(_tr_ann(a, psi.body, steps)))
-    if isinstance(psi, And):
+        out = And(a, Not(_tr_ann(a, psi.body, steps, memo)))
+    elif isinstance(psi, And):
         _ann_record(steps, "ann-conjunction", a, psi)
-        return And(_tr_ann(a, psi.left, steps), _tr_ann(a, psi.right, steps))
-    if isinstance(psi, Or):
+        left = _tr_ann(a, psi.left, steps, memo)
+        out = And(left, _tr_ann(a, psi.right, steps, memo))
+    elif isinstance(psi, Or):
         _ann_record(steps, "ann-disjunction", a, psi)
-        return Or(_tr_ann(a, psi.left, steps), _tr_ann(a, psi.right, steps))
-    if isinstance(psi, Implies):
+        left = _tr_ann(a, psi.left, steps, memo)
+        out = Or(left, _tr_ann(a, psi.right, steps, memo))
+    elif isinstance(psi, Implies):
         _ann_record(steps, "ann-implication", a, psi)
-        return And(
-            a, Implies(_tr_ann(a, psi.left, steps), _tr_ann(a, psi.right, steps))
-        )
-    if isinstance(psi, Box):
+        left = _tr_ann(a, psi.left, steps, memo)
+        out = And(a, Implies(left, _tr_ann(a, psi.right, steps, memo)))
+    elif isinstance(psi, Box):
         _ann_record(steps, "ann-box", a, psi)
-        return And(a, Box(Implies(a, _tr_ann(a, psi.body, steps))))
-    if isinstance(psi, Diamond):
+        out = And(a, Box(Implies(a, _tr_ann(a, psi.body, steps, memo))))
+    elif isinstance(psi, Diamond):
         _ann_record(steps, "ann-diamond", a, psi)
-        return And(a, Diamond(_tr_ann(a, psi.body, steps)))
-    if isinstance(psi, Global):
+        out = And(a, Diamond(_tr_ann(a, psi.body, steps, memo)))
+    elif isinstance(psi, Global):
         _ann_record(steps, "ann-global", a, psi)
-        return And(a, Global(Implies(a, _tr_ann(a, psi.body, steps))))
-    if isinstance(psi, ExistsGlobal):
+        out = And(a, Global(Implies(a, _tr_ann(a, psi.body, steps, memo))))
+    elif isinstance(psi, ExistsGlobal):
         _ann_record(steps, "ann-somewhere", a, psi)
-        return And(a, ExistsGlobal(_tr_ann(a, psi.body, steps)))
-    if isinstance(psi, ExistsProp):
+        out = And(a, ExistsGlobal(_tr_ann(a, psi.body, steps, memo)))
+    elif isinstance(psi, ExistsProp):
         var, body = psi.var, psi.body
         if var in free_props(a):
             fresh = fresh_props(1, all_props(a) | all_props(psi))[0]
@@ -328,16 +377,19 @@ def _tr_ann(a: Formula, psi: Formula, steps) -> Formula:
             _ann_record(steps, "alpha-rename", a, psi)
             var = fresh
         _ann_record(steps, "ann-quantifier", a, psi)
-        return ExistsProp(
-            var, And(Global(Implies(Atom(var), a)), _tr_ann(a, body, steps))
+        out = ExistsProp(
+            var, And(Global(Implies(Atom(var), a)), _tr_ann(a, body, steps, memo))
         )
-    if isinstance(psi, Announce):
+    elif isinstance(psi, Announce):
         # rewrite the inner announcement first; the equivalence it produces
         # holds in every model, the relativised one included
         _ann_record(steps, "ann-nested", a, psi)
-        inner = _tr_ann(psi.announced, psi.body, steps)
-        return _tr_ann(a, inner, steps)
-    raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
+        inner = _tr_ann(psi.announced, psi.body, steps, memo)
+        out = _tr_ann(a, inner, steps, memo)
+    else:
+        raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
+    memo[key] = (out, start, None if steps is None else len(steps))
+    return out
 
 
 def _report_eps(phi: Formula) -> int:

@@ -1,4 +1,6 @@
 
+import json
+
 import pytest
 
 from produpd import (
@@ -183,7 +185,20 @@ class TestModelJson:
             parse_tagged_model(text)
 
 
+    @pytest.mark.parametrize("name", ["p\n", "_f0\n", "j0\n", "q\n\n"])
+    def test_name_with_trailing_newline(self, name):
+        text = json.dumps({"worlds": ["w0"], "val": {name: ["w0"]}})
+        with pytest.raises(ParseError, match="bad proposition name"):
+            parse_model(text)
+
+
 class TestEventModelJson:
+    @pytest.mark.parametrize("name", ["a0\n", "b\n"])
+    def test_name_with_trailing_newline(self, name):
+        text = json.dumps({"events": [name], "rel": [], "pre": {name: "true"}})
+        with pytest.raises(ParseError, match="bad event name"):
+            parse_event_model(text)
+
     def test_skip_model(self):
         a = parse_event_model('{"events":["a0"],"rel":[["a0","a0"]],"pre":{"a0":"true"}}')
         assert a.events == ("a0",)

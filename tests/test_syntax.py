@@ -1,8 +1,16 @@
+import copy
 import dataclasses
+import gc
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import produpd
+from produpd import syntax
 from produpd import (
     TOP,
     ActionDiamond,
@@ -44,10 +52,13 @@ from produpd.syntax import (
     children,
     contains_node,
     is_positive_in,
+    rebuild,
     replace_subformula,
     subformula_at,
     subformula_positions,
 )
+from produpd.models import EventModel
+from produpd.parser import print_formula
 from produpd.translator import translate_event
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -373,3 +384,107 @@ class TestCachedFacts:
         assert fresh == asked and hash(fresh) == hash(asked)
         assert repr(fresh) == repr(asked)
         assert repr(asked) == "And(left=Atom(name='p'), right=Box(body=Atom(name='q')))"
+
+
+def _distinct_nodes(phi):
+    seen, stack = {}, [phi]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen[id(f)] = f
+            stack.extend(children(f))
+    return list(seen.values())
+
+
+# the k-family event model: three events, full relation, preconditions
+# q, true and ~q
+E3 = EventModel(
+    ("a0", "a1", "a2"),
+    frozenset((x, y) for x in ("a0", "a1", "a2") for y in ("a0", "a1", "a2")),
+    {"a0": parse_formula("q"), "a1": TOP, "a2": parse_formula("~q")},
+)
+
+
+class TestHashConsing:
+    def test_equal_constructions_are_one_object(self):
+        for phi in harness_formulas(5):
+            fields = [getattr(phi, f.name) for f in dataclasses.fields(phi)]
+            assert type(phi)(*fields) is phi
+            assert rebuild(phi, children(phi)) is phi
+            try:
+                assert parse_formula(print_formula(phi)) is phi
+            except PositivityViolation:  # generated non-positive fixpoints
+                pass
+        assert And(Atom("p"), Box(Atom("q"))) is And(p, Box(q))
+        assert Nu("x", Atom("x")) is not ExistsProp("x", Atom("x"))
+        assert Nominal(0) is Nominal(0) and Nominal(0) is not Nominal(1)
+
+    def test_copies_return_the_interned_node(self):
+        for phi in harness_formulas(9):
+            assert pickle.loads(pickle.dumps(phi)) is phi
+            assert copy.deepcopy(phi) is phi
+            assert copy.copy(phi) is phi
+        phi = ExistsProp("p", And(p, Not(q)))
+        assert dataclasses.replace(phi, var="q") is ExistsProp("q", And(p, Not(q)))
+        assert dataclasses.replace(phi) is phi
+        assert dataclasses.replace(And(p, q), right=p) is And(p, p)
+        with pytest.raises(TypeError):
+            dataclasses.replace(phi, name="p")
+        with pytest.raises(TypeError):
+            Atom()
+
+    def test_entry_goes_with_its_node(self):
+        phi = Atom("hash_consing_probe")
+        assert Atom._nodes[("hash_consing_probe",)]() is phi
+        del phi
+        gc.collect()
+        assert ("hash_consing_probe",) not in Atom._nodes
+
+    def test_facts_once_per_distinct_subterm(self, monkeypatch):
+        tower = parse_formula("[] " * 6 + "(exists r. (r & <> r))")
+        out = translate_event(E3, "a0", tower)
+        dag = _distinct_nodes(out)
+        computed = []
+        compute = syntax._facts
+
+        def counting(phi):
+            if not hasattr(phi, "_facts"):
+                computed.append(phi)
+            return compute(phi)
+
+        monkeypatch.setattr(syntax, "_facts", counting)
+        assert formula_size(out) == 78603
+        assert len(dag) == 130
+        assert len({id(f) for f in computed}) == len(computed) <= len(dag)
+        assert {id(f) for f in computed} <= {id(f) for f in dag}
+        assert all(hasattr(f, "_facts") for f in dag)
+
+    def test_caches_stay_out_of_equality_hash_and_repr(self):
+        phi = And(Atom("caches_probe"), Box(q))
+        fields = [f.name for f in dataclasses.fields(phi)]
+        h, text = hash(phi), repr(phi)
+        formula_size(phi)
+        print_formula(phi)
+        assert phi._facts and phi._text
+        assert fields == ["left", "right"]
+        assert hash(phi) == h and repr(phi) == text
+        assert phi == And(Atom("caches_probe"), Box(q))
+        assert text == "And(left=Atom(name='caches_probe'), right=Box(body=Atom(name='q')))"
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "12345"])
+    def test_injected_failures_independent_of_hash_seed(self, hash_seed):
+        # regenerated in a fresh process, where string hashes and object
+        # addresses differ, the golden comes out byte-identical: no output
+        # depends on hash or id order
+        tests = Path(__file__).parent
+        done = subprocess.run(
+            [sys.executable, str(tests / "test_harness_failures.py")],
+            capture_output=True,
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": str(Path(produpd.__file__).resolve().parent.parent),
+            },
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (tests / "data" / "injected_failures.json").read_bytes()
