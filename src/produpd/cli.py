@@ -6,7 +6,9 @@ usage or parse errors (input that is not valid UTF-8 among them) and on
 formulas nested too deeply for the recursive parser, printer, rewriter or
 evaluator (`error: formula nested too deeply`).  Every subcommand emits
 machine-readable JSON with --json and human-readable text otherwise;
-diagnostics go to stderr.
+diagnostics go to stderr.  JSON output is `json.dumps(value, indent=2)`
+byte for byte, written by one writer, `parser.dump_json`, which encodes
+each distinct step of a rewrite trace once.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import ParseError, PositivityViolation, ProdupdError
 from .harness import SUITE_NAMES, FuzzConfig, run_fuzz
 from .models import KripkeModel, product_update, relativise
 from .parser import (
+    dump_json,
     dump_tagged_model,
     model_to_jsonable,
     parse_event_model,
@@ -81,7 +84,7 @@ def _sanity_model(props) -> KripkeModel:
 
 def _emit(args, jsonable, human: str):
     if getattr(args, "json", False):
-        print(json.dumps(jsonable, indent=2))
+        print(dump_json(jsonable))
     else:
         print(human)
 
@@ -135,7 +138,7 @@ def _cmd_announce(args) -> int:
     jsonable = model_to_jsonable(result)
     if tm.tags:
         jsonable["tags"] = {w: tm.tags[w] for w in result.worlds}
-    print(json.dumps(jsonable, indent=2))
+    print(dump_json(jsonable))
     return 0
 
 
@@ -165,7 +168,7 @@ def _cmd_translate(args) -> int:
         "match": True,
     }
     if args.json:
-        print(json.dumps(jsonable, indent=2))
+        print(dump_json(jsonable))
     else:
         print(print_formula(report.output))
         print(
@@ -186,11 +189,7 @@ def _cmd_bisim(args) -> int:
     z = greatest_bisimulation(m1, m2)
     related = (args.world1, args.world2) in z.pairs
     if args.json:
-        print(
-            json.dumps(
-                {"bisimilar": related, "pairs": z.to_jsonable()}, indent=2
-            )
-        )
+        print(dump_json({"bisimilar": related, "pairs": z.to_jsonable()}))
     else:
         print("bisimilar" if related else "not bisimilar")
         for u, v in sorted(z.pairs):
@@ -217,7 +216,7 @@ def _cmd_fuzz(args) -> int:
         return 2
     report = run_fuzz(cfg)
     if args.json:
-        print(json.dumps(report.to_jsonable(include_timing=True), indent=2))
+        print(dump_json(report.to_jsonable(include_timing=True)))
     else:
         for name in cfg.suites:
             s = report.suites[name]

@@ -438,13 +438,59 @@ def event_model_to_jsonable(a: EventModel) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_leaf = json.JSONEncoder().encode
+
+
+def dump_json(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, but faster.
+
+    Any indent makes `json` fall back to its pure-Python encoder.  Here the
+    leaves go through the C encoder, and a dict or list object met again
+    at the same depth reuses the text written the first time (the cache
+    lives for one call), so a rewrite trace whose repeated steps share one
+    dict is encoded once per distinct step.  Non-`str` keys are converted
+    as `json` converts them.  The value must not contain itself.
+    """
+    done: dict[tuple[int, int], str] = {}
+
+    def write(v, depth: int) -> str:
+        if isinstance(v, str):
+            return _encode_str(v)
+        if not isinstance(v, (dict, list, tuple)) or not v:
+            return _encode_leaf(v)
+        key = (id(v), depth)
+        text = done.get(key)
+        if text is not None:
+            return text
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(v, dict):
+            parts = [_key(k) + ": " + write(x, depth + 1) for k, x in v.items()]
+            text = "{" + inner + ("," + inner).join(parts) + inner[:-2] + "}"
+        else:
+            parts = [write(x, depth + 1) for x in v]
+            text = "[" + inner + ("," + inner).join(parts) + inner[:-2] + "]"
+        done[key] = text
+        return text
+
+    return write(value, 0)
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _encode_str(k)
+    if k is None or isinstance(k, (int, float)):
+        return _encode_str(_encode_leaf(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def dump_model(m: KripkeModel) -> str:
-    return json.dumps(model_to_jsonable(m), indent=2) + "\n"
+    return dump_json(model_to_jsonable(m)) + "\n"
 
 
 def dump_tagged_model(tm: TaggedModel) -> str:
-    return json.dumps(tagged_to_jsonable(tm), indent=2) + "\n"
+    return dump_json(tagged_to_jsonable(tm)) + "\n"
 
 
 def dump_event_model(a: EventModel) -> str:
-    return json.dumps(event_model_to_jsonable(a), indent=2) + "\n"
+    return dump_json(event_model_to_jsonable(a)) + "\n"

@@ -68,6 +68,9 @@ from .syntax import (
     substitute,
 )
 
+# the nodes that `eliminate_all` rewrites away
+_DYNAMIC = (Nu, Announce, ActionDiamond)
+
 
 @dataclass
 class TranslationStep:
@@ -92,6 +95,15 @@ class TranslationReport:
     steps: list[TranslationStep] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
+        """The report as JSON data.
+
+        A replayed span repeats the same `TranslationStep` objects, and each
+        distinct step gets one dict that every occurrence shares, so
+        `parser.dump_json` encodes it once.  Callers must treat the step
+        dicts as read-only.
+        """
+        distinct = {id(s): s for s in self.steps}
+        as_dict = {k: s.to_jsonable() for k, s in distinct.items()}
         return {
             "input": print_formula(self.input),
             "output": print_formula(self.output),
@@ -99,7 +111,7 @@ class TranslationReport:
             "output_size": self.output_size,
             "input_eps": self.input_eps,
             "output_eps": self.output_eps,
-            "steps": [s.to_jsonable() for s in self.steps],
+            "steps": [as_dict[id(s)] for s in self.steps],
         }
 
 
@@ -188,7 +200,7 @@ def translate_event(
     """
     if alpha not in a.pre:
         raise UnknownEvent(f"unknown event {alpha!r}")
-    if contains_node(psi, (ActionDiamond, Announce, Nu)):
+    if contains_node(psi, _DYNAMIC):
         raise InputNotSentenceFragment(
             "event translation takes formulas without dynamic or fixpoint nodes"
         )
@@ -395,9 +407,17 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
 def _report_eps(phi: Formula) -> int:
     # lenient binder count for reporting: fixpoints and announcements are
     # still present before elimination, where the strict measure is not
-    # yet defined
-    base = 1 if isinstance(phi, (ExistsProp, ForallProp, Nu)) else 0
-    return base + sum(_report_eps(c) for c in children(phi))
+    # yet defined.  Counted per tree occurrence, computed per distinct node.
+    done: dict[Formula, int] = {}
+
+    def go(f: Formula) -> int:
+        n = done.get(f)
+        if n is None:
+            base = 1 if isinstance(f, (ExistsProp, ForallProp, Nu)) else 0
+            n = done[f] = base + sum(go(c) for c in children(f))
+        return n
+
+    return go(phi)
 
 
 def eliminate_all(a: EventModel, phi: Formula, *, simplify: bool = False) -> TranslationReport:
@@ -411,10 +431,11 @@ def eliminate_all(a: EventModel, phi: Formula, *, simplify: bool = False) -> Tra
     steps: list[TranslationStep] = []
 
     def rec(f: Formula) -> Formula:
+        if not contains_node(f, _DYNAMIC):
+            return f
         if isinstance(f, Nu):
             body = rec(f.body)
-            if steps is not None:
-                steps.append(TranslationStep("nu-encode", print_formula(f)))
+            steps.append(TranslationStep("nu-encode", print_formula(f)))
             return ExistsProp(
                 f.var, And(Atom(f.var), Global(Implies(Atom(f.var), body)))
             )

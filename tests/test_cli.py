@@ -10,6 +10,10 @@ import pytest
 import produpd
 from produpd import cli
 from produpd.cli import run
+from produpd.parser import parse_event_model, print_formula
+from produpd.syntax import ActionDiamond
+from produpd.translator import eliminate_all
+from test_rewrite_outcomes import THREE_EVENTS, announcement_nest, box_tower
 
 MODEL = {
     "worlds": ["w0", "w1"],
@@ -242,6 +246,66 @@ class TestFuzzCommand:
 
     def test_bad_config_exit_2(self, capsys):
         assert run(["fuzz", "--cases", "0"]) == 2
+
+
+def _indent2(out: str) -> str:
+    """What `json.dumps(..., indent=2)` prints for the JSON in `out`."""
+    return json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestJsonOutputBytes:
+    """Every `--json` output is `json.dumps(value, indent=2)` byte for byte."""
+
+    @pytest.fixture
+    def files(self, model_file, events_file, tmp_path):
+        three = tmp_path / "three-events.json"
+        three.write_text(json.dumps(THREE_EVENTS))
+        return {"model": model_file, "events": events_file, "three": str(three)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parse", "exists p. (p & <> ~p)"],
+            ["eval", "--model", "{model}", "--formula", "<> p | [] p"],
+            ["eval", "--model", "{model}", "--formula", "<a1> p", "--events",
+             "{events}", "--world", "w0"],
+            ["product", "--model", "{model}", "--events", "{events}"],
+            ["announce", "--model", "{model}", "--formula", "~p"],
+            ["bisim", "--model1", "{model}", "--world1", "w0", "--model2",
+             "{model}", "--world2", "w1"],
+            ["fuzz", "--seed", "3", "--cases", "2", "--suites", "translation,degree"],
+            ["translate", "--events", "{events}", "--event", "a0", "--formula",
+             "nu p. ([] p & <!q> <> p)", "--simplify"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_subcommand(self, argv, files, capsys):
+        assert run([a.format(**files) for a in argv] + ["--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == _indent2(out)
+
+    @pytest.mark.parametrize("event", ["a0", "a1"])
+    @pytest.mark.parametrize(
+        "make,k",
+        [(box_tower, k) for k in range(1, 8)]
+        + [(announcement_nest, k) for k in range(1, 5)],
+    )
+    def test_translate_families(self, make, k, event, files, capsys):
+        formula = print_formula(make(k))
+        argv = ["translate", "--events", files["three"], "--event", event,
+                "--formula", formula, "--json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out == _indent2(out)
+
+    def test_one_dict_per_distinct_step(self):
+        events = parse_event_model(json.dumps(THREE_EVENTS))
+        report = eliminate_all(events, ActionDiamond("a0", box_tower(7)))
+        steps = report.to_jsonable()["steps"]
+        assert len(steps) == len(report.steps) == 1696
+        distinct = len({id(s) for s in report.steps})
+        assert distinct == 60
+        assert len({id(d) for d in steps}) == distinct
 
 
 class TestDeepNesting:

@@ -231,3 +231,43 @@ class TestEventModelJson:
         )
         assert a.index_of("b") == 0
         assert a.index_of("a") == 1
+
+
+class TestDumpJson:
+    """`dump_json` writes `json.dumps(value, indent=2)` byte for byte."""
+
+    SHARED = {"rule": "box", "at": "<a0> [] p"}
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            [[], {}],
+            {"a": {}, "b": [[], {"c": []}], "d": [{}]},
+            ["é", "\n", '"', " ", "\U0001f600", "\\", "\x00", ""],
+            {"é": "\n", "\U0001f600": '"'},
+            [0.1, 1e-7, 1e300, -0.0, 2**70, -(2**70), 0, True, False, None],
+            [float("inf"), float("-inf"), float("nan")],
+            ("tuple", ("nested",)),
+            "top-level string",
+            17,
+            None,
+            # non-str keys are converted as json converts them
+            {1: "int", 2.5: "float", True: "bool", None: "null", "s": {7: []}},
+            # one dict object shared at one depth, then at several: a cache
+            # keyed on identity alone would reuse the depth-1 text deeper down
+            [SHARED, SHARED, {"x": SHARED}],
+            {"top": SHARED, "deeper": [SHARED, [SHARED]], "again": SHARED},
+        ],
+    )
+    def test_byte_identical(self, value):
+        assert parser.dump_json(value) == json.dumps(value, indent=2)
+
+    def test_bad_key_type_error(self):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            parser.dump_json({(1, 2): 3})
+
+    def test_unserializable_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            parser.dump_json([object()])
