@@ -162,12 +162,12 @@ def _cmd_translate(args) -> int:
     if lhs != rhs:
         print("sanity check failed: translation output is not equivalent", file=sys.stderr)
         return 1
-    jsonable = report.to_jsonable()
-    jsonable["sanity_check"] = {
-        "model": model_to_jsonable(sanity),
-        "match": True,
-    }
     if args.json:
+        jsonable = report.to_jsonable()
+        jsonable["sanity_check"] = {
+            "model": model_to_jsonable(sanity),
+            "match": True,
+        }
         print(dump_json(jsonable))
     else:
         print(print_formula(report.output))

@@ -177,12 +177,6 @@ def random_model(cfg: FuzzConfig, case_index: int, *, label="model", max_worlds=
     return KripkeModel(worlds, relation, valuation)
 
 
-def _random_static(rng, size, props, *, allow_global=True) -> Formula:
-    """Quantifier-free formula over `props`, optionally without the global
-    modalities (for the fragments that need finite degree)."""
-    return _gen_formula(rng, size, props, allow_global=allow_global)
-
-
 def random_event_model(
     cfg: FuzzConfig,
     case_index: int,
@@ -194,7 +188,7 @@ def random_event_model(
     """Random event model with quantifier-free preconditions of size at
     most 4, one of which is always the true constant so that products are
     rarely empty.  `pre_kind="local"` drops the global modalities from the
-    preconditions."""
+    preconditions, for the fragments that need finite degree."""
     rng = cfg.stream(case_index, label)
     n = n_events if n_events is not None else rng.randint(1, cfg.max_events)
     events = tuple(f"a{i}" for i in range(n))
@@ -207,7 +201,7 @@ def random_event_model(
         if i == top_at:
             pre[e] = TOP
         else:
-            pre[e] = _random_static(
+            pre[e] = _gen_formula(
                 rng, rng.randint(1, 4), cfg.props, allow_global=(pre_kind == "base")
             )
     return EventModel(events, relation, pre)
@@ -594,7 +588,7 @@ def _check_announcement(m, announced, psi):
 def _announcement_case(cfg, i) -> _Case:
     m = random_model(cfg, i)
     psi = random_formula(cfg, i, LanguageTag.BASE_MSO)
-    announced = _random_static(cfg.stream(i, "announced"), 4, cfg.props)
+    announced = _gen_formula(cfg.stream(i, "announced"), 4, cfg.props)
     return _Case(
         lambda m2, psi2: _check_announcement(m2, announced, psi2),
         m,

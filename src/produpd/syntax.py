@@ -12,18 +12,20 @@ Rewritten output is a tree that grows much faster than its set of distinct
 subterms, so nodes are hash-consed: structurally equal formulas are one
 object (see `Formula`).  The whole-subtree queries (`free_props`,
 `formula_size`, `quantifier_count`, `contains_node`) do not walk the
-tree.  Each node computes one facts record the first time it is asked,
-from its children's records, and keeps it, so facts are computed once per
-distinct subterm and every later query is O(1).  The walks that remain
-(positivity, nominal scoping) skip subtrees whose record shows there is
-nothing to find, and `substitute` and `all_props` visit each distinct
-subterm once.
+tree.  A node's children always exist before it, so the constructor
+builds the node's facts record from its children's records when it
+creates the node: facts are built once per distinct subterm and every
+query is O(1).  One table, `_CHILD_FIELDS`, names each node class's child
+fields; `children`, `rebuild` and the constructor read it.  The walks that
+remain (positivity, nominal scoping) skip subtrees whose record shows
+there is nothing to find, and `substitute` and `all_props` visit each
+distinct subterm once.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, partial
 from typing import NamedTuple
@@ -43,9 +45,10 @@ class Formula:
     entry goes when its node does.  Pickling, copying and
     `dataclasses.replace` return the interned node.
 
-    The `_facts` and `_text` slots cache the node's `_Facts` and its
-    printed text once computed.  They are not dataclass fields, so repr
-    and pickling ignore them.
+    The `_facts` slot holds the node's `_Facts`, built from its children's
+    when the node is created; the `_text` slot caches its printed text once
+    computed.  They are not dataclass fields, so repr and pickling ignore
+    them.
     """
 
     __slots__ = ("_facts", "_text", "__weakref__")
@@ -71,6 +74,20 @@ class Formula:
         node = _new(cls)
         for name, value in zip(cls.__match_args__, args):
             _set(node, name, value)
+        size, binders, kinds = 1, 0, _KIND_BIT[cls]
+        free = _NO_PROPS
+        for name in _CHILD_FIELDS[cls]:
+            part = getattr(node, name)._facts
+            size += part.size
+            binders += part.binders
+            kinds |= part.kinds
+            free = free | part.free if free else part.free
+        if cls is Atom:
+            free = frozenset(args)
+        elif cls in _BINDERS:
+            free = free - {args[0]}
+            binders += 1
+        _set(node, "_facts", _Facts(free, size, binders, kinds))
         nodes[args] = _ref(node, partial(_forget, nodes, args))
         return node
 
@@ -211,16 +228,32 @@ class Announce(Formula):
     body: Formula
 
 
+_BINDERS = (ExistsProp, ForallProp, Nu)
+_MU_NODES = (Atom, Top, Bottom, Not, And, Or, Implies, Box, Diamond, Nu)
+_NODE_KINDS = (
+    Atom, Nominal, Top, Bottom, Not, Box, Diamond, Global, ExistsGlobal,
+    And, Or, Implies, *_BINDERS, ActionDiamond, Announce,
+)
+_KIND_BIT = {cls: 1 << i for i, cls in enumerate(_NODE_KINDS)}
+# the child fields of each node class, which come after its other fields
+_CHILD_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type == "Formula")
+    for cls in _NODE_KINDS
+}
+
+
+class _Facts(NamedTuple):
+    """Facts about a whole subtree, kept on its root node."""
+
+    free: frozenset[str]  # free propositions
+    size: int  # node count
+    binders: int  # ExistsProp, ForallProp and Nu nodes
+    kinds: int  # union of the `_KIND_BIT` of every node
+
+
+_NO_PROPS: frozenset[str] = frozenset()
 TOP = Top()
 BOTTOM = Bottom()
-
-_BINDERS = (ExistsProp, ForallProp, Nu)
-_UNARY = (Not, Box, Diamond, Global, ExistsGlobal)
-_BINARY = (And, Or, Implies)
-_LEAVES = (Atom, Nominal, Top, Bottom)
-_MU_NODES = (Atom, Top, Bottom, Not, And, Or, Implies, Box, Diamond, Nu)
-_NODE_KINDS = (*_LEAVES, *_UNARY, *_BINARY, *_BINDERS, ActionDiamond, Announce)
-_KIND_BIT = {cls: 1 << i for i, cls in enumerate(_NODE_KINDS)}
 
 
 class LanguageTag(Enum):
@@ -232,19 +265,14 @@ class LanguageTag(Enum):
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
-    if isinstance(phi, _LEAVES):
-        return ()
-    if isinstance(phi, _UNARY):
-        return (phi.body,)
-    if isinstance(phi, _BINARY):
-        return (phi.left, phi.right)
-    if isinstance(phi, _BINDERS):
-        return (phi.body,)
-    if isinstance(phi, ActionDiamond):
-        return (phi.body,)
-    if isinstance(phi, Announce):
-        return (phi.announced, phi.body)
-    raise TypeError(f"not a formula node: {phi!r}")
+    try:
+        names = _CHILD_FIELDS[type(phi)]
+    except KeyError:
+        raise TypeError(f"not a formula node: {phi!r}") from None
+    out = []
+    for name in names:
+        out.append(getattr(phi, name))
+    return tuple(out)
 
 
 def rebuild(phi: Formula, parts: tuple[Formula, ...]) -> Formula:
@@ -252,17 +280,8 @@ def rebuild(phi: Formula, parts: tuple[Formula, ...]) -> Formula:
     (the parts compare by identity, as nodes do)."""
     if parts == children(phi):
         return phi
-    if isinstance(phi, _UNARY):
-        return type(phi)(parts[0])
-    if isinstance(phi, _BINARY):
-        return type(phi)(parts[0], parts[1])
-    if isinstance(phi, _BINDERS):
-        return type(phi)(phi.var, parts[0])
-    if isinstance(phi, ActionDiamond):
-        return ActionDiamond(phi.event, parts[0])
-    if isinstance(phi, Announce):
-        return Announce(parts[0], parts[1])
-    return phi
+    fixed = phi.__match_args__[: len(phi.__match_args__) - len(parts)]
+    return type(phi)(*[getattr(phi, name) for name in fixed], *parts)
 
 
 def conj(parts) -> Formula:
@@ -287,41 +306,6 @@ def disj(parts) -> Formula:
     return out
 
 
-class _Facts(NamedTuple):
-    """Facts about a whole subtree, kept on its root node."""
-
-    free: frozenset[str]  # free propositions
-    size: int  # node count
-    quants: int  # ExistsProp and ForallProp nodes
-    kinds: int  # union of the `_KIND_BIT` of every node
-
-
-def _facts(phi: Formula) -> _Facts:
-    """The facts record of `phi`, built from its children's on first use."""
-    try:
-        return phi._facts
-    except AttributeError:
-        pass
-    parts = [_facts(c) for c in children(phi)]
-    size, quants, kinds = 1, 0, _KIND_BIT[type(phi)]
-    for p in parts:
-        size += p.size
-        quants += p.quants
-        kinds |= p.kinds
-    if isinstance(phi, Atom):
-        free = frozenset((phi.name,))
-    elif len(parts) == 1:
-        free = parts[0].free
-    else:
-        free = frozenset().union(*[p.free for p in parts])
-    if isinstance(phi, _BINDERS):
-        free = free - {phi.var}
-        quants += not isinstance(phi, Nu)
-    facts = _Facts(free, size, quants, kinds)
-    object.__setattr__(phi, "_facts", facts)
-    return facts
-
-
 @cache
 def _kind_mask(kinds) -> int:
     """The bits of the node classes that `isinstance(node, kinds)` accepts."""
@@ -336,12 +320,12 @@ _UNCOUNTED_MASK = _kind_mask((Nu, Announce))
 
 def contains_node(phi: Formula, kinds) -> bool:
     """True iff some node of `phi` is an instance of `kinds`."""
-    return bool(_facts(phi).kinds & _kind_mask(kinds))
+    return bool(phi._facts.kinds & _kind_mask(kinds))
 
 
 def free_props(phi: Formula) -> frozenset[str]:
     """Propositions occurring free; quantifiers and fixpoints bind."""
-    return _facts(phi).free
+    return phi._facts.free
 
 
 def all_props(phi: Formula) -> frozenset[str]:
@@ -363,7 +347,7 @@ def all_props(phi: Formula) -> frozenset[str]:
 
 
 def formula_size(phi: Formula) -> int:
-    return _facts(phi).size
+    return phi._facts.size
 
 
 def quantifier_count(phi: Formula) -> int:
@@ -374,14 +358,14 @@ def quantifier_count(phi: Formula) -> int:
     defined once they have been rewritten away.  The error names the first
     such node in pre-order.
     """
-    facts = _facts(phi)
+    facts = phi._facts
     if facts.kinds & _UNCOUNTED_MASK:
         while not isinstance(phi, (Nu, Announce)):
-            phi = next(c for c in children(phi) if _facts(c).kinds & _UNCOUNTED_MASK)
+            phi = next(c for c in children(phi) if c._facts.kinds & _UNCOUNTED_MASK)
         raise InputNotSentenceFragment(
             f"quantifier count undefined on {type(phi).__name__} nodes"
         )
-    return facts.quants
+    return facts.binders
 
 
 def modal_depth(phi: Formula) -> int:
@@ -473,7 +457,7 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 
 
 def _polarity_ok(phi: Formula, var: str, positive: bool) -> bool:
-    if var not in _facts(phi).free:
+    if var not in phi._facts.free:
         return True
     # from here on `var` is free in phi: an atom is `var` itself, and a
     # binder binds another name
@@ -503,7 +487,7 @@ def is_positive_in(phi: Formula, var: str) -> bool:
 
 
 def check_nu_positivity(phi: Formula) -> None:
-    if not _facts(phi).kinds & _NU_BIT:
+    if not phi._facts.kinds & _NU_BIT:
         return
     if isinstance(phi, Nu) and not is_positive_in(phi.body, phi.var):
         raise PositivityViolation(
@@ -514,11 +498,11 @@ def check_nu_positivity(phi: Formula) -> None:
 
 
 def _mu_grammar_only(phi: Formula) -> bool:
-    return not _facts(phi).kinds & ~_MU_MASK
+    return not phi._facts.kinds & ~_MU_MASK
 
 
 def _has_unscoped_nominal(phi: Formula, scoped: bool = False) -> bool:
-    if not _facts(phi).kinds & _NOMINAL_BIT:
+    if not phi._facts.kinds & _NOMINAL_BIT:
         return False
     if isinstance(phi, Nominal):
         return not scoped

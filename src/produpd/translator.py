@@ -1,12 +1,16 @@
 """Rewrites dynamic modalities into the static quantified base language.
 
-Event diamonds are pushed through every connective by reduction rules;
-the quantifier case routes through action nominals: the bound proposition
-is replaced by a disjunction of fresh propositions paired with nominals,
-one per event, guarded by conjuncts tying each fresh proposition to the
-corresponding precondition.  Announcements reduce by the standard clauses
-with the quantifier clause guarded by the announced formula; greatest
-fixpoints are encoded with the propositional quantifier first.
+Event diamonds are pushed through every connective by one reduction
+clause per connective, and one table (`_CONNECTIVES`) holds those
+clauses.  The quantifier case routes through action nominals: the bound
+proposition is replaced by a disjunction of fresh propositions paired
+with nominals, one per event, guarded by conjuncts tying each fresh
+proposition to the corresponding precondition.  An announcement is the
+product update with one reflexive event whose precondition is the
+announced formula, so announcements reduce by the same table; only their
+leaf, nested-announcement and quantifier clauses are their own, the last
+guarded by the announced formula.  Greatest fixpoints are encoded with
+the propositional quantifier first.
 
 Every recursive event-translation call strictly decreases the pair
 (quantifier count, size) lexicographically: the quantifier case trades
@@ -170,6 +174,42 @@ def _fold(out: Formula) -> Formula:
     return out
 
 
+# The reduction clause of each connective, read by both rewriters: the
+# rule name, whether the result is conjoined with the precondition, and
+# for a modality which events its body is rewritten under, those "related"
+# to the current one or "every" event.  An announcement is the product
+# update with one reflexive event whose precondition is the announced
+# formula, so its clauses are these with the rule names prefixed "ann-".
+_CONNECTIVES = {
+    Not: ("negation", True, None),
+    And: ("conjunction", False, None),
+    Or: ("disjunction", False, None),
+    Implies: ("implication", True, None),
+    Box: ("box", True, "related"),
+    Diamond: ("diamond", True, "related"),
+    Global: ("global", True, "every"),
+    ExistsGlobal: ("somewhere", True, "every"),
+}
+_UNIVERSAL = (Box, Global)
+
+
+def _connect(psi: Formula, pre: Formula, parts: list) -> Formula:
+    """`psi`'s connective over its rewritten parts by its `_CONNECTIVES`
+    clause, under precondition `pre`.  A modality's parts are (precondition,
+    rewritten body) pairs, one per event: a universal one guards each body
+    with its precondition and joins them with `conj`, an existential one
+    joins them with `disj`."""
+    cls = type(psi)
+    _, guarded, scope = _CONNECTIVES[cls]
+    if scope is None:
+        out = cls(*parts)
+    elif cls in _UNIVERSAL:
+        out = conj([cls(Implies(pre_b, body)) for pre_b, body in parts])
+    else:
+        out = disj([cls(body) for _, body in parts])
+    return And(pre, out) if guarded else out
+
+
 def _measure(phi: Formula) -> tuple[int, int]:
     return (quantifier_count(phi), formula_size(phi))
 
@@ -225,7 +265,21 @@ def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
         return _replay(steps, done)
     start = None if steps is None else len(steps)
     pre = a.pre[alpha]
-    if isinstance(psi, (Atom, Top, Bottom)):
+    clause = _CONNECTIVES.get(type(psi))
+    if clause is not None:
+        rule, _, scope = clause
+        _record(steps, rule, alpha, psi)
+        parts = []
+        if scope is None:
+            for c in children(psi):
+                parts.append(_tr_event(a, alpha, c, steps, log, m, memo))
+        else:
+            for b in a.events:
+                if scope == "every" or (alpha, b) in a.relation:
+                    body = _tr_event(a, b, psi.body, steps, log, m, memo)
+                    parts.append((a.pre[b], body))
+        out = _connect(psi, pre, parts)
+    elif isinstance(psi, (Atom, Top, Bottom)):
         _record(steps, "atom", alpha, psi)
         out = And(pre, psi)
     elif isinstance(psi, Nominal):
@@ -235,60 +289,6 @@ def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
         else:
             _record(steps, "nominal-mismatch", alpha, psi)
             out = Bottom()
-    elif isinstance(psi, Not):
-        _record(steps, "negation", alpha, psi)
-        out = And(pre, Not(_tr_event(a, alpha, psi.body, steps, log, m, memo)))
-    elif isinstance(psi, And):
-        _record(steps, "conjunction", alpha, psi)
-        out = And(
-            _tr_event(a, alpha, psi.left, steps, log, m, memo),
-            _tr_event(a, alpha, psi.right, steps, log, m, memo),
-        )
-    elif isinstance(psi, Or):
-        _record(steps, "disjunction", alpha, psi)
-        out = Or(
-            _tr_event(a, alpha, psi.left, steps, log, m, memo),
-            _tr_event(a, alpha, psi.right, steps, log, m, memo),
-        )
-    elif isinstance(psi, Implies):
-        _record(steps, "implication", alpha, psi)
-        out = And(
-            pre,
-            Implies(
-                _tr_event(a, alpha, psi.left, steps, log, m, memo),
-                _tr_event(a, alpha, psi.right, steps, log, m, memo),
-            ),
-        )
-    elif isinstance(psi, Box):
-        _record(steps, "box", alpha, psi)
-        parts = [
-            Box(Implies(a.pre[b], _tr_event(a, b, psi.body, steps, log, m, memo)))
-            for b in a.events
-            if (alpha, b) in a.relation
-        ]
-        out = And(pre, conj(parts))
-    elif isinstance(psi, Diamond):
-        _record(steps, "diamond", alpha, psi)
-        parts = [
-            Diamond(_tr_event(a, b, psi.body, steps, log, m, memo))
-            for b in a.events
-            if (alpha, b) in a.relation
-        ]
-        out = And(pre, disj(parts))
-    elif isinstance(psi, Global):
-        _record(steps, "global", alpha, psi)
-        parts = [
-            Global(Implies(a.pre[b], _tr_event(a, b, psi.body, steps, log, m, memo)))
-            for b in a.events
-        ]
-        out = And(pre, conj(parts))
-    elif isinstance(psi, ExistsGlobal):
-        _record(steps, "somewhere", alpha, psi)
-        parts = [
-            ExistsGlobal(_tr_event(a, b, psi.body, steps, log, m, memo))
-            for b in a.events
-        ]
-        out = And(pre, disj(parts))
     elif isinstance(psi, ExistsProp):
         _record(steps, "quantifier", alpha, psi)
         n = len(a.events)
@@ -351,36 +351,20 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
     if done is not None:
         return _replay(steps, done)
     start = None if steps is None else len(steps)
-    if isinstance(psi, (Atom, Top, Bottom, Nominal)):
+    clause = _CONNECTIVES.get(type(psi))
+    if clause is not None:
+        rule, _, scope = clause
+        _ann_record(steps, "ann-" + rule, a, psi)
+        parts = []
+        if scope is None:
+            for c in children(psi):
+                parts.append(_tr_ann(a, c, steps, memo))
+        else:
+            parts.append((a, _tr_ann(a, psi.body, steps, memo)))
+        out = _connect(psi, a, parts)
+    elif isinstance(psi, (Atom, Top, Bottom, Nominal)):
         _ann_record(steps, "ann-atom", a, psi)
         out = And(a, psi)
-    elif isinstance(psi, Not):
-        _ann_record(steps, "ann-negation", a, psi)
-        out = And(a, Not(_tr_ann(a, psi.body, steps, memo)))
-    elif isinstance(psi, And):
-        _ann_record(steps, "ann-conjunction", a, psi)
-        left = _tr_ann(a, psi.left, steps, memo)
-        out = And(left, _tr_ann(a, psi.right, steps, memo))
-    elif isinstance(psi, Or):
-        _ann_record(steps, "ann-disjunction", a, psi)
-        left = _tr_ann(a, psi.left, steps, memo)
-        out = Or(left, _tr_ann(a, psi.right, steps, memo))
-    elif isinstance(psi, Implies):
-        _ann_record(steps, "ann-implication", a, psi)
-        left = _tr_ann(a, psi.left, steps, memo)
-        out = And(a, Implies(left, _tr_ann(a, psi.right, steps, memo)))
-    elif isinstance(psi, Box):
-        _ann_record(steps, "ann-box", a, psi)
-        out = And(a, Box(Implies(a, _tr_ann(a, psi.body, steps, memo))))
-    elif isinstance(psi, Diamond):
-        _ann_record(steps, "ann-diamond", a, psi)
-        out = And(a, Diamond(_tr_ann(a, psi.body, steps, memo)))
-    elif isinstance(psi, Global):
-        _ann_record(steps, "ann-global", a, psi)
-        out = And(a, Global(Implies(a, _tr_ann(a, psi.body, steps, memo))))
-    elif isinstance(psi, ExistsGlobal):
-        _ann_record(steps, "ann-somewhere", a, psi)
-        out = And(a, ExistsGlobal(_tr_ann(a, psi.body, steps, memo)))
     elif isinstance(psi, ExistsProp):
         var, body = psi.var, psi.body
         if var in free_props(a):
@@ -402,22 +386,6 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
         raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
     memo[key] = (out, start, None if steps is None else len(steps))
     return out
-
-
-def _report_eps(phi: Formula) -> int:
-    # lenient binder count for reporting: fixpoints and announcements are
-    # still present before elimination, where the strict measure is not
-    # yet defined.  Counted per tree occurrence, computed per distinct node.
-    done: dict[Formula, int] = {}
-
-    def go(f: Formula) -> int:
-        n = done.get(f)
-        if n is None:
-            base = 1 if isinstance(f, (ExistsProp, ForallProp, Nu)) else 0
-            n = done[f] = base + sum(go(c) for c in children(f))
-        return n
-
-    return go(phi)
 
 
 def eliminate_all(a: EventModel, phi: Formula, *, simplify: bool = False) -> TranslationReport:
@@ -461,7 +429,10 @@ def eliminate_all(a: EventModel, phi: Formula, *, simplify: bool = False) -> Tra
         output=out,
         input_size=formula_size(phi),
         output_size=formula_size(out),
-        input_eps=_report_eps(phi),
+        # lenient binder count for reporting: fixpoints and announcements
+        # are still present before elimination, where the strict measure is
+        # not yet defined.  Counted per tree occurrence.
+        input_eps=phi._facts.binders,
         output_eps=quantifier_count(out),
         steps=steps,
     )

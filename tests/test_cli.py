@@ -12,7 +12,7 @@ from produpd import cli
 from produpd.cli import run
 from produpd.parser import parse_event_model, print_formula
 from produpd.syntax import ActionDiamond
-from produpd.translator import eliminate_all
+from produpd.translator import TranslationReport, eliminate_all
 from test_rewrite_outcomes import THREE_EVENTS, announcement_nest, box_tower
 
 MODEL = {
@@ -172,6 +172,22 @@ class TestTranslateCommand:
         assert data["sanity_check"]["match"] is True
         assert data["steps"]
         assert data["output_eps"] >= 1
+
+    def test_plain_output_builds_no_json(self, tmp_path, monkeypatch, capsys):
+        three = tmp_path / "three-events.json"
+        three.write_text(json.dumps(THREE_EVENTS))
+        argv = ["translate", "--events", str(three), "--event", "a0",
+                "--formula", print_formula(box_tower(7))]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("JSON built for plain output")
+
+        monkeypatch.setattr(TranslationReport, "to_jsonable", refuse)
+        monkeypatch.setattr(cli, "model_to_jsonable", refuse)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_simplify_flag(self, events_file, capsys):
         assert (
@@ -383,6 +399,30 @@ class TestDepthHeadroom:
         assert done.returncode == 0, done.stderr
         if command == "parse":
             assert done.stdout == "[] " * depth + "p\n"
+
+
+class TestStandardLibraryOnly:
+    def test_runtime_imports_only_the_standard_library(self):
+        # an isolated interpreter without site-packages, so that a
+        # third-party import fails in the child or shows in its modules
+        src = Path(produpd.__file__).resolve().parent.parent
+        child = "\n".join([
+            "import json, sys",
+            f"sys.path.insert(0, {str(src)!r})",
+            "from produpd import cli",
+            "code = cli.run(['parse', 'exists p. (p & <> ~p)'])",
+            "print(json.dumps([code, sorted(sys.modules)]))",
+        ])
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", child], capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        tops = {name.partition(".")[0] for name in loaded}
+        assert "produpd" in tops
+        allowed = {"produpd", "__main__", *sys.stdlib_module_names}
+        assert sorted(tops - allowed) == []
 
 
 class TestUndecodableInput:

@@ -441,22 +441,23 @@ class TestHashConsing:
         assert ("hash_consing_probe",) not in Atom._nodes
 
     def test_facts_once_per_distinct_subterm(self, monkeypatch):
+        # facts are built only by the constructor, once per new node
         tower = parse_formula("[] " * 6 + "(exists r. (r & <> r))")
+        built = []
+        build = syntax._Facts
+
+        def counting(*fields):
+            built.append(fields)
+            return build(*fields)
+
+        monkeypatch.setattr(syntax, "_Facts", counting)
         out = translate_event(E3, "a0", tower)
         dag = _distinct_nodes(out)
-        computed = []
-        compute = syntax._facts
-
-        def counting(phi):
-            if not hasattr(phi, "_facts"):
-                computed.append(phi)
-            return compute(phi)
-
-        monkeypatch.setattr(syntax, "_facts", counting)
         assert formula_size(out) == 78603
         assert len(dag) == 130
-        assert len({id(f) for f in computed}) == len(computed) <= len(dag)
-        assert {id(f) for f in computed} <= {id(f) for f in dag}
+        # the output's distinct nodes, and the ten of the nominal-tagged
+        # body that the quantifier clause rewrites but does not output
+        assert 0 < len(built) <= len(dag) + 10
         assert all(hasattr(f, "_facts") for f in dag)
 
     def test_caches_stay_out_of_equality_hash_and_repr(self):

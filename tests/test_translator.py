@@ -32,6 +32,7 @@ from produpd import (
     translate_event,
 )
 from produpd.harness import FuzzConfig, random_formula, random_model
+from produpd.models import announcement_event_model
 from produpd.semantics import Evaluator
 from produpd.syntax import contains_node
 from produpd.translator import fold_constants
@@ -206,6 +207,23 @@ class TestTranslateAnnouncement:
         for i in range(10):
             m = random_model(cfg, i)
             assert extension(m, out) == extension(m, Announce(p, psi))
+
+    def test_is_the_one_event_product_update(self):
+        # quantifier-free and without nominals, an announcement reduces
+        # clause for clause as its one-event model does
+        cfg = FuzzConfig(seed=3, cases=1)
+        for i in range(2000):
+            announced = random_formula(cfg, i, LanguageTag.BASE_MSO, label="a", max_eps=0)
+            psi = random_formula(cfg, i, LanguageTag.BASE_MSO, label="psi", max_eps=0)
+            ann_steps, event_steps = [], []
+            out = translate_announcement(announced, psi, steps=ann_steps)
+            event = translate_event(
+                announcement_event_model(announced), "a0", psi, steps=event_steps
+            )
+            assert out is event
+            assert [s.rule for s in ann_steps] == [
+                "ann-" + s.rule for s in event_steps
+            ]
 
     def test_rejects_non_base_announcement(self):
         with pytest.raises(PreconditionNotBaseMso):
