@@ -1,12 +1,25 @@
 """Exhaustive model checking over finite (tagged) models.
 
-Quantifiers enumerate all subsets of the domain (in ascending bit order
-over the world ordering), the universal modality checks the whole domain,
-event diamonds build the product model and announcements relativise, and
-the greatest fixpoint is computed by descending iteration.  World sets
-are integer bitmasks.  Quantifier enumeration is restricted to subsets of
-any `U (p -> A)` guard conjunct, which is sound because other subsets
-falsify the guard outright.
+Quantifiers enumerate witness subsets in ascending bit order over the
+world ordering, the universal modality checks the whole domain, event
+diamonds build the product model and announcements relativise, and the
+greatest fixpoint is computed by descending iteration.  World sets are
+integer bitmasks.
+
+A quantifier does not always need every subset of the domain.  One
+static scan of each binder's body, cached per session, finds two things:
+
+- the `U (p -> A)` guard conjuncts of an `exists`: subsets outside the
+  extension of A falsify the guard outright, so only subsets of that
+  extension are tried;
+- the binder's locality radius d, the deepest box or diamond nesting
+  above a free occurrence of its variable.  The body's truth at a world w
+  then depends on the variable only within N_d(w), the worlds reachable
+  from w in at most d steps, so the subsets tried are those lying within
+  some N_d(w): every witness agrees on N_d(w) with one of them.  There is
+  no radius when an occurrence sits under `U`, `E`, `nu`, an event
+  diamond or an announcement.  Then every subset of the guard is tried,
+  as it is when one world's neighbourhood holds the whole guard.
 
 Each evaluation session keeps one plan record per node object, built on
 the node's first visit: the node, its sorted deps (its free props, plus
@@ -56,6 +69,7 @@ from .syntax import (
     Nu,
     Or,
     Top,
+    children,
     contains_node,
     free_props,
     is_positive_in,
@@ -66,6 +80,11 @@ DEFAULT_TOTAL_ENUMERATIONS = 2_000_000
 
 # memoise a node only while its valuation key stays small
 _MEMO_ARITY_CAP = 3
+
+# a free occurrence of a binder's variable under one of these leaves it no
+# locality radius
+_NONLOCAL = frozenset({Global, ExistsGlobal, Nu, ActionDiamond, Announce})
+_BINDER_WORDS = {ExistsProp: "exists", ForallProp: "forall", Nu: "nu"}
 
 
 @dataclass(frozen=True)
@@ -104,8 +123,10 @@ class Evaluator:
     node's plan (building it on the first visit, the only time it asks
     for the node's free props), builds the memo key from the plan's deps
     and calls the plan's handler directly.  A node is memoised while at
-    most `_MEMO_ARITY_CAP` of its deps are bound.  `events` supplies the
-    ambient event model that event diamonds and nominal indices refer to.
+    most `_MEMO_ARITY_CAP` of its deps are bound.  A quantifier tries only
+    the witnesses that its guard and its locality radius leave (see the
+    module docstring).  `events` supplies the ambient event model that
+    event diamonds and nominal indices refer to.
     """
 
     def __init__(self, model, events: EventModel | None = None, budget=None, _work=None):
@@ -128,10 +149,11 @@ class Evaluator:
         self._work = _work if _work is not None else _Work()
         self._memo: dict = {}
         self._plans: dict = {}
-        self._guards: dict = {}
+        self._scans: dict = {}
         self._products: dict = {}
         self._relativised: dict = {}
         self._submasks: dict = {}
+        self._hoods: dict = {}
         self._parent_index: list[int] = []
         self._pre_props: frozenset[str] = frozenset()
         if events is not None:
@@ -168,17 +190,25 @@ class Evaluator:
                 out |= 1 << pi
         return out
 
-    def _tick(self):
+    def _tick(self, binder: Formula):
+        """Count one subset tried by `binder`, a quantifier or fixpoint."""
         self._work.ticks += 1
         if self._work.ticks > self.budget.max_total_subset_enumerations:
             raise BudgetExceeded(
                 "subset enumeration budget exhausted "
-                f"({self.budget.max_total_subset_enumerations} subsets)"
+                f"({self.budget.max_total_subset_enumerations} subsets) while "
+                f"enumerating `{_BINDER_WORDS[type(binder)]} {binder.var}`: "
+                f"{self._work.ticks - 1} subsets tried so far"
             )
 
-    def _submask_list(self, mask: int) -> list[int]:
-        got = self._submasks.get(mask)
-        if got is None:
+    def _submask_list(self, mask: int, radius: int | None = None) -> list[int]:
+        """The submasks of `mask` in ascending order; with a radius d, only
+        those that lie within N_d(w) for some world w."""
+        key = mask if radius is None else (mask, radius)
+        got = self._submasks.get(key)
+        if got is not None:
+            return got
+        if radius is None:
             got = []
             s = mask
             while True:
@@ -187,7 +217,46 @@ class Evaluator:
                     break
                 s = (s - 1) & mask
             got.reverse()
-            self._submasks[mask] = got
+        else:
+            parts = {hood & mask for hood in self._hood(radius)}
+            if mask in parts:  # one neighbourhood holds every submask
+                got = self._submask_list(mask)
+            elif sum(1 << part.bit_count() for part in parts) < 1 << mask.bit_count():
+                # fewer to collect from the parts than there are submasks;
+                # the empty witness is tried even on an empty domain, as in
+                # the flat enumeration, so the body is evaluated once
+                seen = {0}
+                for part in parts:
+                    s = part
+                    while s:
+                        seen.add(s)
+                        s = (s - 1) & part
+                got = sorted(seen)
+            else:  # cheaper to pick them out of all the submasks
+                got = [
+                    s for s in self._submask_list(mask)
+                    if any(s & part == s for part in parts)
+                ]
+        self._submasks[key] = got
+        return got
+
+    def _hood(self, radius: int) -> list[int]:
+        """N_radius(w) for each world w: the worlds reachable from w in at
+        most `radius` steps."""
+        radius = min(radius, self.n)  # within n steps reach is complete
+        got = self._hoods.get(radius)
+        if got is None:
+            got = [1 << i for i in range(self.n)]
+            for _ in range(radius):
+                step = []
+                for reach in got:
+                    out = reach
+                    for j in range(self.n):
+                        if (reach >> j) & 1:
+                            out |= self.succ[j]
+                    step.append(out)
+                got = step
+            self._hoods[radius] = got
         return got
 
     # -- public surface --------------------------------------------------
@@ -306,45 +375,84 @@ class Evaluator:
                 f"{self.budget.max_worlds_for_quantifier}"
             )
 
-    def _guard_bodies(self, phi: ExistsProp) -> list[Formula]:
-        # Conjuncts of shape U (var -> A) force every witness subset below
-        # the extension of A, so enumeration may be restricted to those.
-        # The scan descends through conjunctions and through intermediate
-        # binders of other variables: a guard conjunct that mentions no
-        # intervening binder falsifies the whole inner body for oversized
-        # witnesses regardless of the inner choices.
-        got = self._guards.get(id(phi))
-        if got is None:
-            bodies = []
-            stack: list[tuple[Formula, frozenset[str]]] = [(phi.body, frozenset())]
-            while stack:
-                f, shadowed = stack.pop()
-                if isinstance(f, And):
-                    stack.append((f.left, shadowed))
-                    stack.append((f.right, shadowed))
-                elif isinstance(f, ExistsProp) and f.var != phi.var:
-                    stack.append((f.body, shadowed | {f.var}))
-                elif (
-                    isinstance(f, Global)
-                    and isinstance(f.body, Implies)
-                    and isinstance(f.body.left, Atom)
-                    and f.body.left.name == phi.var
-                    and not free_props(f.body.right) & (shadowed | {phi.var})
+    def _scan(self, phi: ExistsProp | ForallProp) -> tuple[list[Formula], int | None]:
+        """The binder's guard bodies and its locality radius (None when it
+        has none; see the module docstring), from one walk of its body.
+
+        Guards (`exists` only) are found through conjunctions and through
+        intermediate `exists` of other variables: a guard conjunct that
+        mentions no intervening binder falsifies the whole inner body for
+        oversized witnesses regardless of the inner choices.
+
+        Under U, E, nu, an event diamond or an announcement, truth at a
+        world can depend on var at any distance.  So can an event diamond
+        anywhere in the body when var is a precondition prop, since the
+        product depends on it.  A U (var -> A) conjunct where guards are
+        looked for, with var not free in A, is no occurrence: it holds of
+        every subset of a set it holds of, so cutting a witness down to
+        N_d(w) keeps it one.
+        """
+        got = self._scans.get(id(phi))
+        if got is not None:
+            return got[1], got[2]
+        var = phi.var
+        bodies: list[Formula] = []
+        radius = 0
+        if var in self._pre_props and contains_node(phi.body, ActionDiamond):
+            radius = None
+        # (node, modal depth, binders passed on the guard path, or None off it)
+        stack = [(phi.body, 0, frozenset() if type(phi) is ExistsProp else None)]
+        # off the guard path, the deepest depth each node was walked at: a
+        # shared subterm is walked again only deeper, not once per occurrence
+        deepest: dict[Formula, int] = {}
+        while stack:
+            f, depth, shadowed = stack.pop()
+            if var not in f._facts.free:
+                continue
+            cls = type(f)
+            if shadowed is not None:
+                if cls is And:
+                    stack.append((f.left, depth, shadowed))
+                    stack.append((f.right, depth, shadowed))
+                    continue
+                if cls is ExistsProp:
+                    stack.append((f.body, depth, shadowed | {f.var}))
+                    continue
+                if (
+                    cls is Global
+                    and type(f.body) is Implies
+                    and type(f.body.left) is Atom
+                    and f.body.left.name == var
+                    and var not in f.body.right._facts.free
                 ):
-                    bodies.append(f.body.right)
-            got = (phi, bodies)
-            self._guards[id(phi)] = got
-        return got[1]
+                    if not f.body.right._facts.free & shadowed:
+                        bodies.append(f.body.right)
+                    continue
+            if radius is None or deepest.get(f, -1) >= depth:
+                continue  # only guards are left to find, or nothing new
+            deepest[f] = depth
+            if cls is Atom:
+                radius = max(radius, depth)
+            elif cls is Box or cls is Diamond:
+                stack.append((f.body, depth + 1, None))
+            elif cls in _NONLOCAL:
+                radius = None
+            else:
+                for part in children(f):
+                    stack.append((part, depth, None))
+        self._scans[id(phi)] = (phi, bodies, radius)
+        return bodies, radius
 
     def _eval_exists(self, phi: ExistsProp, env: dict) -> int:
         self._check_quantifier_domain()
+        bodies, radius = self._scan(phi)
         guard = self.full
-        for rhs in self._guard_bodies(phi):
+        for rhs in bodies:
             guard &= self._eval(rhs, env)
         result = 0
         sub_env = dict(env)
-        for x in self._submask_list(guard):
-            self._tick()
+        for x in self._submask_list(guard, radius):
+            self._tick(phi)
             sub_env[phi.var] = x
             result |= self._eval(phi.body, sub_env)
             if result == self.full:
@@ -355,8 +463,8 @@ class Evaluator:
         self._check_quantifier_domain()
         result = self.full
         sub_env = dict(env)
-        for x in self._submask_list(self.full):
-            self._tick()
+        for x in self._submask_list(self.full, self._scan(phi)[1]):
+            self._tick(phi)
             sub_env[phi.var] = x
             result &= self._eval(phi.body, sub_env)
             if result == 0:
@@ -485,9 +593,10 @@ def gfp_oracle(model: KripkeModel, var: str, body: Formula, budget=None):
         raise PositivityViolation(f"fixpoint body is not positive in {var!r}")
     ev = Evaluator(model, budget=budget)
     ev._check_quantifier_domain()
+    binder = Nu(var, body)
     total = 0
     for x in ev._submask_list(ev.full):
-        ev._tick()
+        ev._tick(binder)
         if x & ~ev._eval(body, {var: x}) == 0:
             total |= x
     return ev.worlds_of(total)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from produpd import (
@@ -13,6 +15,8 @@ from produpd import (
     EvalBudget,
     EventModel,
     ExistsProp,
+    ForallProp,
+    Formula,
     Global,
     Implies,
     KripkeModel,
@@ -30,11 +34,18 @@ from produpd import (
     parse_formula,
     print_formula,
     product_update,
+    run_fuzz,
     translate_event,
 )
-from produpd.harness import FuzzConfig, random_event_model, random_formula, random_model
+from produpd.harness import (
+    FuzzConfig,
+    _gen_formula,
+    random_event_model,
+    random_formula,
+    random_model,
+)
 from produpd.semantics import Evaluator
-from produpd.syntax import LanguageTag
+from produpd.syntax import LanguageTag, contains_node
 
 p, q = Atom("p"), Atom("q")
 
@@ -206,8 +217,25 @@ class TestErrors:
     def test_total_enumeration_budget(self):
         m = KripkeModel(("w0", "w1", "w2"), frozenset(), {})
         budget = EvalBudget(max_total_subset_enumerations=10)
-        with pytest.raises(BudgetExceeded):
-            extension(m, ExistsProp("p", ExistsProp("q", And(p, q))), budget=budget)
+        # the message names the binder that hit the limit and the work done:
+        # each subset p tries is followed by the 4 that q tries under it, so
+        # the 11th subset tried is p's third and the 8th is one of q's
+        phi = ExistsProp("p", ExistsProp("q", And(p, q)))
+        with pytest.raises(BudgetExceeded) as got:
+            extension(m, phi, budget=budget)
+        assert str(got.value) == (
+            "subset enumeration budget exhausted (10 subsets) while enumerating "
+            "`exists p`: 10 subsets tried so far"
+        )
+        with pytest.raises(BudgetExceeded) as got:
+            extension(m, phi, budget=EvalBudget(max_total_subset_enumerations=7))
+        assert str(got.value).endswith("while enumerating `exists q`: 7 subsets tried so far")
+        with pytest.raises(BudgetExceeded) as got:
+            gfp_oracle(m, "p", p, budget=EvalBudget(max_total_subset_enumerations=5))
+        assert str(got.value) == (
+            "subset enumeration budget exhausted (5 subsets) while enumerating "
+            "`nu p`: 5 subsets tried so far"
+        )
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -311,7 +339,7 @@ class TestWorkCounters:
     @pytest.mark.parametrize(
         "text,ext,work",
         [
-            ("<a0> (exists r. (r & [] ~r))", {"w1", "w2"}, (32, 132, 1, 0)),
+            ("<a0> (exists r. (r & [] ~r))", {"w1", "w2"}, (18, 76, 1, 0)),
             ("exists p. <a1> (<> p & [] q)", set(), (8, 70, 8, 0)),
             ("<!p | q> (~p & [!<> q] <> q)", {"w0", "w2"}, (0, 14, 0, 2)),
             ("nu x. (q & <> x)", {"w0", "w2"}, (0, 8, 0, 0)),
@@ -320,8 +348,16 @@ class TestWorkCounters:
             (
                 "exists r. exists s. exists t. exists u. (<> (r & s & t & u) | p)",
                 {"w0", "w1", "w2"},
-                (672, 180, 0, 0),
+                (470, 146, 0, 0),
             ),
+            # no locality radius, so every subset is tried, as it always was:
+            # r under U but not in guard form, under nu, under an event
+            # diamond, in an announced formula, and a bound precondition prop
+            ("exists r. (~r & U (p -> <> r))", {"w0", "w1"}, (8, 47, 0, 0)),
+            ("exists r. (~r & (nu x. ([] r & <> x)))", {"w2"}, (8, 70, 0, 0)),
+            ("exists r. (~r & <a0> [] r)", {"w1", "w2"}, (8, 50, 1, 0)),
+            ("exists r. (~r & <!<> r> q)", {"w0", "w2"}, (8, 45, 0, 6)),
+            ("exists p. (p & <a1> true)", set(), (8, 46, 7, 0)),
         ],
     )
     def test_direct(self, text, ext, work):
@@ -334,3 +370,156 @@ class TestWorkCounters:
         ev = Evaluator(three_cycle())
         assert ev.extension(chi) == {"w0", "w1", "w2"}
         assert self.counters(ev) == (25, 278, 0, 0)
+
+
+def n_family(n):
+    """The n-family: `<a0> (exists r. (r & <> ~r & j0))` over three events
+    with preconditions q, true and ~q and a full event relation, on a
+    random n-world model with edge probability 0.3."""
+    rng = random.Random(5)
+    worlds = tuple(f"w{i}" for i in range(n))
+    relation = frozenset((u, v) for u in worlds for v in worlds if rng.random() < 0.3)
+    valuation = {
+        "q": frozenset(rng.sample(worlds, n // 2)),
+        "p": frozenset(rng.sample(worlds, n // 3)),
+    }
+    names = ("a0", "a1", "a2")
+    events = EventModel(
+        names,
+        frozenset((x, y) for x in names for y in names),
+        {"a0": q, "a1": TOP, "a2": Not(q)},
+    )
+    return KripkeModel(worlds, relation, valuation), events, parse_formula(
+        "<a0> (exists r. (r & <> ~r & j0))"
+    )
+
+
+class TestNeighbourhoodEnumeration:
+    """Trying only the witnesses within each world's neighbourhood of the
+    binder's locality radius gives exactly the extensions that trying
+    every subset of the guard gives, which is what the evaluator does when
+    the radius is forced to none."""
+
+    @staticmethod
+    def flat(monkeypatch):
+        scan = Evaluator._scan
+        monkeypatch.setattr(Evaluator, "_scan", lambda self, phi: (scan(self, phi)[0], None))
+
+    def evaluations(self, monkeypatch, flat, run):
+        """The evaluations that `run()` asks of any session, in order, as
+        (method, model, events, arguments, result), and its return value."""
+        calls = []
+        with monkeypatch.context() as mp:
+            if flat:
+                self.flat(mp)
+            for name in ("extension", "extension_mask", "holds"):
+                method = getattr(Evaluator, name)
+
+                def recorded(self, *args, _name=name, _method=method):
+                    out = _method(self, *args)
+                    calls.append((_name, self.model, self.events, args, out))
+                    return out
+
+                mp.setattr(Evaluator, name, recorded)
+            return calls, run()
+
+    def test_harness_inputs(self, monkeypatch):
+        # only the first three suites generate quantifiers; a few cases of
+        # the others show that their evaluations are untouched
+        cases = {"translation": 700, "announcement": 700, "fixpoint": 700,
+                 "nominals": 50, "bisim_lift": 50, "degree": 50}
+        quantified = set()
+        for suite, n in cases.items():
+            cfg = FuzzConfig(seed=9, cases=n, suites=(suite,))
+            got, report = self.evaluations(monkeypatch, False, lambda: run_fuzz(cfg))
+            want, flat_report = self.evaluations(monkeypatch, True, lambda: run_fuzz(cfg))
+            assert got and got == want, suite
+            assert report.payload() == flat_report.payload()
+            assert report.ok
+            for _, model, events, args, _ in got:
+                phi = args[-1] if isinstance(args[-1], Formula) else args[0]
+                if contains_node(phi, (ExistsProp, ForallProp)):
+                    quantified.add((model, events, phi))
+        assert len(quantified) >= 2000
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_n_family(self, monkeypatch, n):
+        m, events, phi = n_family(n)
+        chi = translate_event(events, "a0", phi.body)
+        for session, formula in ((lambda: Evaluator(m, events), phi),
+                                 (lambda: Evaluator(m), chi)):
+            ev = session()
+            ext = ev.extension(formula)
+            with monkeypatch.context() as mp:
+                self.flat(mp)
+                flat_ev = session()
+                assert flat_ev.extension(formula) == ext
+            assert TestWorkCounters.counters(ev) <= TestWorkCounters.counters(flat_ev)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the one node r, reached first at depth 0, then at depth 1
+            "exists r. (<> r & r)",
+            # an inner binder shadows r
+            "exists r. (<> r & (exists r. ([] r & ~r)))",
+            "exists r. ([] r & (forall r. (r | <> ~r)) & ~r)",
+            # the U conjunct names an inner binder, so it is no guard, but
+            # it still holds of every subset of a witness
+            "exists r. (exists s. (U (r -> s) & <> r & [] ~s))",
+            "exists r. (U (r -> q) & <> <> r & ~r)",
+            "forall r. (<> r | [] ~r)",
+            "forall r. (r -> <> [] r)",
+            "exists r. forall s. (<> (r & s) | [] (~r | ~s))",
+            # nominals under the binder
+            "<a0> (exists r. (r & j0 & <> ~r))",
+            "<a1> (forall r. (j1 | <> r | [] ~r))",
+            # a bound precondition prop
+            "exists p. (p & <a1> [] q)",
+            # witnesses that no one world's neighbourhood holds: r under U
+            # and E, and a U (r -> A) conjunct under a negation
+            "exists r. (~r & U (q -> r))",
+            "exists r. (~r & E (r & p) & E (r & q))",
+            "exists r. (~r & ~U (r -> q) & ~U (r -> p))",
+        ],
+    )
+    def test_hand_cases(self, monkeypatch, text):
+        phi = parse_formula(text)
+        ev = Evaluator(three_cycle(), events=two_events())
+        ext = ev.extension(phi)
+        with monkeypatch.context() as mp:
+            self.flat(mp)
+            flat_ev = Evaluator(three_cycle(), events=two_events())
+            assert flat_ev.extension(phi) == ext
+        assert TestWorkCounters.counters(ev) <= TestWorkCounters.counters(flat_ev)
+
+    def test_bound_precondition_props(self, monkeypatch):
+        # p is a precondition prop of both events, so an event diamond in
+        # the body depends on p through the product at any distance
+        cfg = FuzzConfig(seed=77, cases=1, max_worlds=5)
+        events = two_events()
+        cases = []
+        for i in range(1000):
+            rng = cfg.stream(i, "precondition")
+            body = _gen_formula(
+                rng, rng.randint(3, 9), ("p", "q"), dyn_events=events.events,
+                allow_global=False,
+            )
+            binder = ExistsProp if i % 2 else ForallProp
+            cases.append((random_model(cfg, i), binder("p", body)))
+        got = [Evaluator(m, events=events).extension(phi) for m, phi in cases]
+        with monkeypatch.context() as mp:
+            self.flat(mp)
+            assert [Evaluator(m, events=events).extension(phi) for m, phi in cases] == got
+
+    def test_empty_model(self, monkeypatch):
+        # announcing false leaves an empty model, where the one subset,
+        # the empty one, is still tried
+        phi = parse_formula("~ <!false> (exists r. (r | <> ~r))")
+        ev = Evaluator(three_cycle(), events=two_events())
+        with monkeypatch.context() as mp:
+            self.flat(mp)
+            flat_ev = Evaluator(three_cycle(), events=two_events())
+            assert flat_ev.extension(phi) == {"w0", "w1", "w2"}
+        assert ev.extension(phi) == {"w0", "w1", "w2"}
+        assert TestWorkCounters.counters(ev) == TestWorkCounters.counters(flat_ev) == (1, 6, 0, 1)
