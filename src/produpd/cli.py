@@ -4,10 +4,10 @@ Exit codes: 0 on success, 1 on property failures or semantic errors
 (unresolvable nominals, exhausted budgets, failing fuzz suites), 2 on
 usage or parse errors (input that is not valid UTF-8 among them) and on
 formulas nested too deeply for the recursive parser, printer, rewriter or
-evaluator (`error: formula nested too deeply`).  Every subcommand emits
-machine-readable JSON with --json and human-readable text otherwise;
-diagnostics go to stderr.  JSON output is `json.dumps(value, indent=2)`
-byte for byte, written by one writer, `parser.dump_json`, which encodes
+evaluator (`error: formula nested too deeply`).  `product` and `announce`
+print a model file; every other subcommand emits machine-readable JSON
+with --json and human-readable text otherwise.  Diagnostics go to stderr.
+JSON output is `json.dumps(value, indent=2)` byte for byte, written by one writer, `parser.dump_json`, which encodes
 each distinct step of a rewrite trace once.
 """
 
@@ -266,13 +266,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="print the product with an event model")
     p.add_argument("--model", required=True)
     p.add_argument("--events", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_product)
 
     p = sub.add_parser("announce", help="print the model relativised to a formula")
     p.add_argument("--model", required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_announce)
 
     p = sub.add_parser(

@@ -6,7 +6,8 @@ class ProdupdError(Exception):
 
 
 class ParseError(ProdupdError):
-    """Input text or JSON does not conform to the expected syntax.
+    """Input text or JSON does not conform to the expected syntax, or a
+    model or event model breaks a structural invariant (see `models`).
 
     `span` is a SourceSpan for formula text (None for JSON-level errors);
     `expected` lists the token kinds that would have been accepted.
@@ -31,7 +32,7 @@ class UnknownWorldInValuation(ParseError):
 
 
 class EmptyEventSet(ParseError):
-    """An event-model file declared no events."""
+    """An event model has no events."""
 
 
 class PositivityViolation(ProdupdError):
@@ -43,7 +44,8 @@ class PreconditionNotBaseMso(ProdupdError):
 
 
 class WorldOutOfModel(ProdupdError):
-    """A world argument does not belong to the model at hand."""
+    """A world argument (a point, an override, a relativisation set) does
+    not belong to the model at hand; a malformed model is a `ParseError`."""
 
 
 class UnknownEvent(ProdupdError):

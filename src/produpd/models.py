@@ -6,6 +6,12 @@ All model values are immutable.  Internally-empty models (the result of
 relativising to nothing, or of a product whose preconditions fail
 everywhere) are representable and flow through the evaluator; only
 top-level parsed input models are required to be non-empty.
+
+The constructors of `KripkeModel`, `TaggedModel` and `EventModel` are the
+one place where structural invariants are checked (unique names, edges,
+valuations and total tags inside the domain, a base-language precondition
+for each of at least one event); a fault raises the `ParseError` subclass
+that names it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,10 @@ from dataclasses import dataclass, field
 
 from .errors import (
     EmptyEventSet,
+    ParseError,
     PreconditionNotBaseMso,
+    UnknownWorldInRelation,
+    UnknownWorldInValuation,
     WorldOutOfModel,
 )
 from .syntax import Formula, LanguageTag, classify
@@ -28,23 +37,23 @@ class KripkeModel:
 
     def __post_init__(self):
         worlds = tuple(self.worlds)
-        if len(set(worlds)) != len(worlds):
-            raise WorldOutOfModel("duplicate world identifiers")
         wset = set(worlds)
-        relation = frozenset((str(u), str(v)) for u, v in self.relation)
-        for u, v in relation:
-            if u not in wset or v not in wset:
-                raise WorldOutOfModel(f"relation edge ({u},{v}) outside the domain")
-        val: dict[str, frozenset[str]] = {}
-        for p in sorted(self.valuation):
-            xs = frozenset(self.valuation[p])
-            if not xs <= wset:
-                raise WorldOutOfModel(f"valuation of {p!r} outside the domain")
+        if len(wset) != len(worlds):
+            raise ParseError("duplicate world identifiers")
+        relation = _edges(self.relation, wset, UnknownWorldInRelation)
+        val = {}
+        for p, given in self.valuation.items():
+            xs = frozenset(given)
+            if not xs <= wset:  # report the first unknown world given
+                x = next(x for x in given if x not in wset)
+                raise UnknownWorldInValuation(
+                    f"valuation of {p!r} mentions unknown world {x!r}"
+                )
             if xs:
                 val[p] = xs
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "valuation", val)
+        object.__setattr__(self, "valuation", dict(sorted(val.items())))
 
     def __hash__(self):
         return hash((self.worlds, self.relation, tuple(sorted(self.valuation.items()))))
@@ -54,6 +63,14 @@ class KripkeModel:
 
     def props(self) -> tuple[str, ...]:
         return tuple(sorted(self.valuation))
+
+
+def _edges(pairs, members, error_cls) -> frozenset[tuple[str, str]]:
+    # checked in the order given, so the first bad edge is reported
+    for u, v in pairs:
+        if u not in members or v not in members:
+            raise error_cls(f"relation edge ({u},{v}) mentions an unknown member")
+    return frozenset(pairs)
 
 
 @dataclass(frozen=True)
@@ -77,16 +94,12 @@ class EventModel:
         if not events:
             raise EmptyEventSet("an event model needs at least one event")
         if len(set(events)) != len(events):
-            raise WorldOutOfModel("duplicate event identifiers")
-        eset = set(events)
-        relation = frozenset((str(u), str(v)) for u, v in self.relation)
-        for u, v in relation:
-            if u not in eset or v not in eset:
-                raise WorldOutOfModel(f"event edge ({u},{v}) outside the event set")
+            raise ParseError("duplicate event identifiers")
+        relation = _edges(self.relation, set(events), ParseError)
         pre = dict(self.pre)
         for e in events:
             if e not in pre:
-                raise PreconditionNotBaseMso(f"missing precondition for event {e!r}")
+                raise ParseError(f"missing precondition for event {e!r}")
             if classify(pre[e]) is not LanguageTag.BASE_MSO:
                 raise PreconditionNotBaseMso(
                     f"precondition of event {e!r} is not in the base language"
@@ -116,7 +129,7 @@ class TaggedModel:
     def __post_init__(self):
         tags = dict(self.tags)
         if tags and set(tags) != set(self.model.worlds):
-            raise WorldOutOfModel("tag map must be empty or total on the domain")
+            raise ParseError("'tags' must be empty or total on the domain")
         object.__setattr__(self, "tags", tags)
 
     def __hash__(self):
@@ -233,6 +246,4 @@ def generated_submodel_k(m: KripkeModel, w: str, k: int) -> PointedModel:
 def announcement_event_model(a: Formula) -> EventModel:
     """One-event reflexive event model whose precondition is the announced
     formula; its product with any model is the relativisation to it."""
-    if classify(a) is not LanguageTag.BASE_MSO:
-        raise PreconditionNotBaseMso("announced formula is not in the base language")
     return EventModel(("a0",), frozenset({("a0", "a0")}), {"a0": a})

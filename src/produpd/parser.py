@@ -29,6 +29,10 @@ returns the very formula that was printed.  The printer keeps each node's
 text on the node, so a rewritten tree is rendered once per distinct
 subterm.  Names in JSON files must match their pattern in full (no
 trailing newline).
+
+The JSON readers check only a file's shape, its names and a top-level
+model's non-empty domain; the model constructors in `models` check the
+structural invariants.
 """
 
 from __future__ import annotations
@@ -38,15 +42,10 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (
-    EmptyDomain,
-    EmptyEventSet,
-    ParseError,
-    UnknownWorldInRelation,
-    UnknownWorldInValuation,
-)
+from .errors import EmptyDomain, ParseError
 from .models import EventModel, KripkeModel, TaggedModel
 from .syntax import (
+    FRESH_PREFIX,
     ActionDiamond,
     And,
     Announce,
@@ -122,7 +121,7 @@ _ATOM_STARTS = (*(lexeme for lexeme, _ in _CONSTANT.values()), "IDENT", "NOMINAL
 # newline and admit "p\n", a name no formula can mention
 _NOMINAL_RE = re.compile(r"j[0-9]+")
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_FRESH_RE = re.compile(r"_f[0-9]+")
+_FRESH_RE = re.compile(re.escape(FRESH_PREFIX) + "[0-9]+")
 
 
 def _plain_name(name: str) -> bool:
@@ -306,13 +305,21 @@ def print_formula(phi: Formula) -> str:
     elif cls is Nominal:
         text = f"j{phi.index}"
     elif cls is ActionDiamond:
-        text = f"<{phi.event}> " + _operand(phi.body)
+        text = print_dynamic(phi.event, phi.body)
     elif cls is Announce:
-        text = f"<!{print_formula(phi.announced)}> " + _operand(phi.body)
+        text = print_dynamic(phi.announced, phi.body)
     else:
         raise TypeError(f"not a formula node: {phi!r}")
     object.__setattr__(phi, "_text", text)
     return text
+
+
+def print_dynamic(modality: str | Formula, body: Formula) -> str:
+    """The text of `<modality> body` for an event name, or of
+    `<!modality> body` for an announced formula, without building the node."""
+    if isinstance(modality, str):
+        return f"<{modality}> " + _operand(body)
+    return f"<!{print_formula(modality)}> " + _operand(body)
 
 
 def _load_json(text: str) -> dict:
@@ -332,19 +339,14 @@ def _string_list(data, key) -> list[str]:
     return xs
 
 
-def _edge_list(data, members, error_cls) -> frozenset[tuple[str, str]]:
+def _edge_list(data) -> list[tuple[str, str]]:
     edges = data.get("rel", [])
     if not isinstance(edges, list):
         raise ParseError("'rel' must be a list of pairs")
-    out = set()
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
             raise ParseError(f"bad relation entry {e!r}")
-        u, v = e
-        if u not in members or v not in members:
-            raise error_cls(f"relation edge ({u},{v}) mentions an unknown member")
-        out.add((u, v))
-    return frozenset(out)
+    return [tuple(e) for e in edges]
 
 
 def parse_model(text: str) -> KripkeModel:
@@ -355,26 +357,16 @@ def _model_from(data: dict) -> KripkeModel:
     worlds = _string_list(data, "worlds")
     if not worlds:
         raise EmptyDomain("a model needs at least one world")
-    if len(set(worlds)) != len(worlds):
-        raise ParseError("duplicate world identifiers")
-    wset = set(worlds)
-    relation = _edge_list(data, wset, UnknownWorldInRelation)
+    relation = _edge_list(data)
     raw_val = data.get("val", {})
     if not isinstance(raw_val, dict):
         raise ParseError("'val' must be an object mapping propositions to worlds")
-    valuation: dict[str, frozenset[str]] = {}
     for p, xs in raw_val.items():
         if not valid_prop_name(p):
             raise ParseError(f"bad proposition name {p!r}")
         if not isinstance(xs, list) or not all(isinstance(x, str) for x in xs):
             raise ParseError(f"valuation of {p!r} must be a list of worlds")
-        for x in xs:
-            if x not in wset:
-                raise UnknownWorldInValuation(
-                    f"valuation of {p!r} mentions unknown world {x!r}"
-                )
-        valuation[p] = frozenset(xs)
-    return KripkeModel(tuple(worlds), relation, valuation)
+    return KripkeModel(tuple(worlds), relation, raw_val)
 
 
 def parse_tagged_model(text: str) -> TaggedModel:
@@ -386,33 +378,25 @@ def parse_tagged_model(text: str) -> TaggedModel:
         isinstance(k, str) and isinstance(v, str) for k, v in raw_tags.items()
     ):
         raise ParseError("'tags' must map worlds to event names")
-    if raw_tags and set(raw_tags) != set(m.worlds):
-        raise ParseError("'tags' must be empty or total on the domain")
-    return TaggedModel(m, dict(raw_tags))
+    return TaggedModel(m, raw_tags)
 
 
 def parse_event_model(text: str) -> EventModel:
     data = _load_json(text)
     events = _string_list(data, "events")
-    if not events:
-        raise EmptyEventSet("an event model needs at least one event")
-    if len(set(events)) != len(events):
-        raise ParseError("duplicate event identifiers")
     for e in events:
         if not _plain_name(e):
             raise ParseError(f"bad event name {e!r}")
-    eset = set(events)
-    relation = _edge_list(data, eset, ParseError)
+    relation = _edge_list(data)
     raw_pre = data.get("pre", {})
     if not isinstance(raw_pre, dict):
         raise ParseError("'pre' must map events to formula strings")
     pre: dict[str, Formula] = {}
     for e in events:
-        if e not in raw_pre:
-            raise ParseError(f"missing precondition for event {e!r}")
-        if not isinstance(raw_pre[e], str):
-            raise ParseError(f"precondition of {e!r} must be a formula string")
-        pre[e] = parse_formula(raw_pre[e])
+        if e in raw_pre:
+            if not isinstance(raw_pre[e], str):
+                raise ParseError(f"precondition of {e!r} must be a formula string")
+            pre[e] = parse_formula(raw_pre[e])
     return EventModel(tuple(events), relation, pre)
 
 

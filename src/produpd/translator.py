@@ -37,7 +37,7 @@ from .errors import (
     UnknownEvent,
 )
 from .models import EventModel
-from .parser import print_formula
+from .parser import print_dynamic, print_formula
 from .syntax import (
     ActionDiamond,
     And,
@@ -214,9 +214,11 @@ def _measure(phi: Formula) -> tuple[int, int]:
     return (quantifier_count(phi), formula_size(phi))
 
 
-def _record(steps, rule: str, alpha: str, psi: Formula):
+def _record(steps, rule: str, modality: str | Formula, psi: Formula):
+    # the step's text is `<modality> psi`, or `<!modality> psi` for an
+    # announced formula, printed without building that node
     if steps is not None:
-        steps.append(TranslationStep(rule, print_formula(ActionDiamond(alpha, psi))))
+        steps.append(TranslationStep(rule, print_dynamic(modality, psi)))
 
 
 def translate_event(
@@ -340,11 +342,6 @@ def translate_announcement(
     return _tr_ann(announced, prepared, steps, {})
 
 
-def _ann_record(steps, rule: str, announced: Formula, psi: Formula):
-    if steps is not None:
-        steps.append(TranslationStep(rule, print_formula(Announce(announced, psi))))
-
-
 def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
     key = (a, psi)
     done = memo.get(key)
@@ -354,7 +351,7 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
     clause = _CONNECTIVES.get(type(psi))
     if clause is not None:
         rule, _, scope = clause
-        _ann_record(steps, "ann-" + rule, a, psi)
+        _record(steps, "ann-" + rule, a, psi)
         parts = []
         if scope is None:
             for c in children(psi):
@@ -363,23 +360,23 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
             parts.append((a, _tr_ann(a, psi.body, steps, memo)))
         out = _connect(psi, a, parts)
     elif isinstance(psi, (Atom, Top, Bottom, Nominal)):
-        _ann_record(steps, "ann-atom", a, psi)
+        _record(steps, "ann-atom", a, psi)
         out = And(a, psi)
     elif isinstance(psi, ExistsProp):
         var, body = psi.var, psi.body
         if var in free_props(a):
             fresh = fresh_props(1, all_props(a) | all_props(psi))[0]
             body = substitute(body, var, Atom(fresh))
-            _ann_record(steps, "alpha-rename", a, psi)
+            _record(steps, "alpha-rename", a, psi)
             var = fresh
-        _ann_record(steps, "ann-quantifier", a, psi)
+        _record(steps, "ann-quantifier", a, psi)
         out = ExistsProp(
             var, And(Global(Implies(Atom(var), a)), _tr_ann(a, body, steps, memo))
         )
     elif isinstance(psi, Announce):
         # rewrite the inner announcement first; the equivalence it produces
         # holds in every model, the relativised one included
-        _ann_record(steps, "ann-nested", a, psi)
+        _record(steps, "ann-nested", a, psi)
         inner = _tr_ann(psi.announced, psi.body, steps, memo)
         out = _tr_ann(a, inner, steps, memo)
     else:

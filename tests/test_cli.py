@@ -136,6 +136,12 @@ class TestProductCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["extension"] == ["(w0,a1)", "(w1,a1)"]
 
+    def test_json_flag_refused(self, model_file, events_file, capsys):
+        # the output is always a model file; there is no other format
+        argv = ["product", "--model", model_file, "--events", events_file, "--json"]
+        assert run(argv) == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
 
 class TestAnnounceCommand:
     def test_relativises(self, model_file, capsys):
@@ -143,6 +149,11 @@ class TestAnnounceCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["worlds"] == ["w0"]
         assert data["rel"] == []
+
+    def test_json_flag_refused(self, model_file, capsys):
+        # the output is always a model file; there is no other format
+        assert run(["announce", "--model", model_file, "--formula", "p", "--json"]) == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 class TestTranslateCommand:
@@ -270,7 +281,8 @@ def _indent2(out: str) -> str:
 
 
 class TestJsonOutputBytes:
-    """Every `--json` output is `json.dumps(value, indent=2)` byte for byte."""
+    """Every JSON output (`--json`, and the model files that `product` and
+    `announce` print) is `json.dumps(value, indent=2)` byte for byte."""
 
     @pytest.fixture
     def files(self, model_file, events_file, tmp_path):
@@ -281,22 +293,23 @@ class TestJsonOutputBytes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["parse", "exists p. (p & <> ~p)"],
-            ["eval", "--model", "{model}", "--formula", "<> p | [] p"],
+            ["parse", "exists p. (p & <> ~p)", "--json"],
+            ["eval", "--model", "{model}", "--formula", "<> p | [] p", "--json"],
             ["eval", "--model", "{model}", "--formula", "<a1> p", "--events",
-             "{events}", "--world", "w0"],
+             "{events}", "--world", "w0", "--json"],
             ["product", "--model", "{model}", "--events", "{events}"],
             ["announce", "--model", "{model}", "--formula", "~p"],
             ["bisim", "--model1", "{model}", "--world1", "w0", "--model2",
-             "{model}", "--world2", "w1"],
-            ["fuzz", "--seed", "3", "--cases", "2", "--suites", "translation,degree"],
+             "{model}", "--world2", "w1", "--json"],
+            ["fuzz", "--seed", "3", "--cases", "2", "--suites", "translation,degree",
+             "--json"],
             ["translate", "--events", "{events}", "--event", "a0", "--formula",
-             "nu p. ([] p & <!q> <> p)", "--simplify"],
+             "nu p. ([] p & <!q> <> p)", "--simplify", "--json"],
         ],
         ids=lambda argv: argv[0],
     )
     def test_subcommand(self, argv, files, capsys):
-        assert run([a.format(**files) for a in argv] + ["--json"]) == 0
+        assert run([a.format(**files) for a in argv]) == 0
         out = capsys.readouterr().out
         assert out == _indent2(out)
 
