@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Exit codes: 0 on success, 1 on property failures or semantic errors
-(unresolvable nominals, exhausted budgets, failing fuzz suites), 2 on
-usage or parse errors (input that is not valid UTF-8 among them) and on
-formulas nested too deeply for the recursive parser, printer, rewriter or
-evaluator (`error: formula nested too deeply`).  `product` and `announce`
+(nominals outside a product, exhausted budgets, failing fuzz suites), 2 on
+usage or parse errors (input that is not valid UTF-8, an unknown event or
+world among them) and on formulas nested too deeply for the recursive
+parser, printer, rewriter or evaluator (`error: formula nested too
+deeply`).  `product` and `announce`
 print a model file; every other subcommand emits machine-readable JSON
 with --json and human-readable text otherwise.  Diagnostics go to stderr.
 JSON output is `json.dumps(value, indent=2)` byte for byte, written by one writer, `parser.dump_json`, which encodes
@@ -144,8 +145,6 @@ def _cmd_announce(args) -> int:
 
 def _cmd_translate(args) -> int:
     events = parse_event_model(_read_file(args.events))
-    if args.event not in events.pre:
-        raise ParseError(f"unknown event {args.event!r}")
     phi = _read_formula_arg(args.formula)
     report = eliminate_all(
         events, ActionDiamond(args.event, phi), simplify=args.simplify

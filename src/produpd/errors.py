@@ -48,8 +48,8 @@ class WorldOutOfModel(ProdupdError):
     not belong to the model at hand; a malformed model is a `ParseError`."""
 
 
-class UnknownEvent(ProdupdError):
-    """An event name or nominal index has no referent in the event model."""
+class UnknownEvent(ParseError):
+    """An event name or nominal index has no referent in an event model."""
 
 
 class NominalOutsideProductContext(ProdupdError):

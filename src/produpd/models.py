@@ -10,8 +10,8 @@ top-level parsed input models are required to be non-empty.
 The constructors of `KripkeModel`, `TaggedModel` and `EventModel` are the
 one place where structural invariants are checked (unique names, edges,
 valuations and total tags inside the domain, a base-language precondition
-for each of at least one event); a fault raises the `ParseError` subclass
-that names it.
+for each of at least one event and for nothing else); a fault raises the
+`ParseError` subclass that names it.
 """
 
 from __future__ import annotations
@@ -104,6 +104,9 @@ class EventModel:
                 raise PreconditionNotBaseMso(
                     f"precondition of event {e!r} is not in the base language"
                 )
+        for e in pre:
+            if e not in events:
+                raise ParseError(f"precondition for unknown event {e!r}")
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "pre", pre)

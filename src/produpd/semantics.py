@@ -17,9 +17,16 @@ static scan of each binder's body, cached per session, finds two things:
   then depends on the variable only within N_d(w), the worlds reachable
   from w in at most d steps, so the subsets tried are those lying within
   some N_d(w): every witness agrees on N_d(w) with one of them.  There is
-  no radius when an occurrence sits under `U`, `E`, `nu`, an event
-  diamond or an announcement.  Then every subset of the guard is tried,
-  as it is when one world's neighbourhood holds the whole guard.
+  no radius when an occurrence sits under `U`, `E` or `nu`, in an
+  announced formula, or under an event diamond when the variable is a
+  precondition prop.  Then every subset of the guard is tried, as it is
+  when one world's neighbourhood holds the whole guard.
+
+It also picks out the rewriter's two binder shapes (`_shape`).  A block
+`exists f0. exists f1. ...`, one fresh prop per event, is enumerated
+jointly, not nested.  `exists x. (x & U (x -> B))`, the encoding of
+`nu x. B`, holds on the union of the X <= B(X), the greatest fixpoint
+(Knaster-Tarski), so it is iterated instead of enumerated.
 
 Each evaluation session keeps one plan record per node object, built on
 the node's first visit: the node, its sorted deps (its free props, plus
@@ -32,6 +39,7 @@ prop, so a prop bound to the empty set (mask 0) and an unbound one differ.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -82,8 +90,8 @@ DEFAULT_TOTAL_ENUMERATIONS = 2_000_000
 _MEMO_ARITY_CAP = 3
 
 # a free occurrence of a binder's variable under one of these leaves it no
-# locality radius
-_NONLOCAL = frozenset({Global, ExistsGlobal, Nu, ActionDiamond, Announce})
+# locality radius (an announcement: in its announced formula)
+_NONLOCAL = frozenset({Global, ExistsGlobal, Nu, Announce})
 _BINDER_WORDS = {ExistsProp: "exists", ForallProp: "forall", Nu: "nu"}
 
 
@@ -124,9 +132,9 @@ class Evaluator:
     for the node's free props), builds the memo key from the plan's deps
     and calls the plan's handler directly.  A node is memoised while at
     most `_MEMO_ARITY_CAP` of its deps are bound.  A quantifier tries only
-    the witnesses that its guard and its locality radius leave (see the
-    module docstring).  `events` supplies the ambient event model that
-    event diamonds and nominal indices refer to.
+    the witnesses that its guard and its radius leave, or evaluates its
+    binder shape directly (see the module docstring).  `events` supplies
+    the ambient event model that event diamonds and nominals refer to.
     """
 
     def __init__(self, model, events: EventModel | None = None, budget=None, _work=None):
@@ -375,26 +383,26 @@ class Evaluator:
                 f"{self.budget.max_worlds_for_quantifier}"
             )
 
-    def _scan(self, phi: ExistsProp | ForallProp) -> tuple[list[Formula], int | None]:
-        """The binder's guard bodies and its locality radius (None when it
-        has none; see the module docstring), from one walk of its body.
+    def _scan(self, phi: ExistsProp | ForallProp) -> tuple:
+        """The binder's guard bodies, its locality radius (None when it has
+        none; see the module docstring) and `_shape`, from one walk.
 
         Guards (`exists` only) are found through conjunctions and through
         intermediate `exists` of other variables: a guard conjunct that
         mentions no intervening binder falsifies the whole inner body for
         oversized witnesses regardless of the inner choices.
 
-        Under U, E, nu, an event diamond or an announcement, truth at a
-        world can depend on var at any distance.  So can an event diamond
-        anywhere in the body when var is a precondition prop, since the
-        product depends on it.  A U (var -> A) conjunct where guards are
+        Under U, E, nu or in an announced formula, truth at a world can
+        depend on var at any distance.  So can an event diamond anywhere
+        in the body when var is a precondition prop, since the product
+        depends on it.  A U (var -> A) conjunct where guards are
         looked for, with var not free in A, is no occurrence: it holds of
         every subset of a set it holds of, so cutting a witness down to
         N_d(w) keeps it one.
         """
         got = self._scans.get(id(phi))
         if got is not None:
-            return got[1], got[2]
+            return got[1:]
         var = phi.var
         bodies: list[Formula] = []
         radius = 0
@@ -435,23 +443,60 @@ class Evaluator:
                 radius = max(radius, depth)
             elif cls is Box or cls is Diamond:
                 stack.append((f.body, depth + 1, None))
+            # a step in a product or relativised model projects onto one here
+            elif cls is ActionDiamond or (cls is Announce and var not in f.announced._facts.free):
+                stack.append((f.body, depth, None))
             elif cls in _NONLOCAL:
                 radius = None
             else:
                 for part in children(f):
                     stack.append((part, depth, None))
-        self._scans[id(phi)] = (phi, bodies, radius)
-        return bodies, radius
+        shape = self._shape(phi, bodies, radius) if type(phi) is ExistsProp else None
+        self._scans[id(phi)] = (phi, bodies, radius, shape)
+        return bodies, radius, shape
 
-    def _eval_exists(self, phi: ExistsProp, env: dict) -> int:
-        self._check_quantifier_domain()
-        bodies, radius = self._scan(phi)
+    def _shape(self, phi: ExistsProp, bodies, radius):
+        """(handler, argument) of `phi`'s fast path, or None: the nu encoding
+        with B positive in x and free of dynamic operators, or the head of a
+        block whose members all have a radius."""
+        var, body = phi.var, phi.body
+        if type(body) is And and type(body.right) is Global and type(body.right.body) is Implies:
+            rhs = body.right.body.right
+            if (
+                body is And(Atom(var), Global(Implies(Atom(var), rhs)))
+                and is_positive_in(rhs, var)
+                and not contains_node(rhs, (ActionDiamond, Announce))
+            ):
+                return Evaluator._eval_nu, rhs
+        names, members = [var], [(bodies, radius)]
+        # the chain ends at a repeated variable or at a binder whose body
+        # ignores its variable (nested, one memo entry serves every witness)
+        while type(body) is ExistsProp and body.var in body.body._facts.free.difference(names):
+            names.append(body.var)
+            members.append(self._scan(body)[:2])
+            body = body.body
+        # a guard naming a member puts that member under U, leaving it no
+        # radius, so every guard can be evaluated once, outside the block
+        if len(names) > 1 and var in phi.body._facts.free and all(
+            radius is not None for _, radius in members
+        ):
+            return Evaluator._eval_block, (names, members, body)
+        return None
+
+    def _guard(self, bodies: list[Formula], env: dict) -> int:
         guard = self.full
         for rhs in bodies:
             guard &= self._eval(rhs, env)
+        return guard
+
+    def _eval_exists(self, phi: ExistsProp, env: dict) -> int:
+        self._check_quantifier_domain()
+        bodies, radius, shape = self._scan(phi)
+        if shape is not None:
+            return shape[0](self, phi, env, shape[1])
         result = 0
         sub_env = dict(env)
-        for x in self._submask_list(guard, radius):
+        for x in self._submask_list(self._guard(bodies, env), radius):
             self._tick(phi)
             sub_env[phi.var] = x
             result |= self._eval(phi.body, sub_env)
@@ -471,12 +516,43 @@ class Evaluator:
                 break
         return result
 
-    def _eval_nu(self, phi: Nu, env: dict) -> int:
+    def _eval_block(self, phi: ExistsProp, env: dict, block) -> int:
+        """For each world w, each tuple of witnesses within the members'
+        guards and N_{d_i}(w), once: cutting each witness of a tuple that
+        holds at w down to its N_{d_i}(w) keeps it one."""
+        names, members, body = block
+        parts = []
+        for bodies, radius in members:
+            guard = self._guard(bodies, env)
+            parts.append([guard & hood for hood in self._hood(radius)])
+        # the all-empty tuple is tried even on an empty domain
+        parts = dict.fromkeys(zip(*parts)) or [(0,) * len(names)]
+        sub_env = dict(env)
+        tried = set()
+        result = 0
+        for part in parts:
+            for xs in itertools.product(*map(self._submask_list, part)):
+                if xs not in tried:
+                    tried.add(xs)
+                    self._tick(phi)
+                    sub_env.update(zip(names, xs))
+                    result |= self._eval(body, sub_env)
+                    if result == self.full:
+                        return result
+        return result
+
+    def _eval_nu(self, phi: Nu | ExistsProp, env: dict, body: Formula | None = None) -> int:
+        """Descending iteration from the full set, of `nu x. B` or, given
+        B, of its encoding, which ticks once per iteration."""
+        encoded = body is not None
+        body = body if encoded else phi.body
         x = self.full
         sub_env = dict(env)
         while True:
+            if encoded:
+                self._tick(phi)
             sub_env[phi.var] = x
-            y = self._eval(phi.body, sub_env)
+            y = self._eval(body, sub_env)
             if y == x:
                 return x
             if y & ~x:

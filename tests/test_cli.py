@@ -216,6 +216,22 @@ class TestTranslateCommand:
             == 2
         )
 
+    @pytest.mark.parametrize("command", ["translate", "eval", "eval-world"])
+    def test_unknown_event_in_formula_exit_2(self, model_file, events_file, command, capsys):
+        # the same class, code and line as an unknown `--event`
+        argv = {
+            "translate": ["translate", "--events", events_file, "--event", "a0"],
+            "eval": ["eval", "--model", model_file, "--events", events_file],
+            "eval-world": ["eval", "--model", model_file, "--events", events_file,
+                           "--world", "w0"],
+        }[command]
+        assert run(argv + ["--formula", "<zz> p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown event 'zz'\n"
+        assert captured.out == ""
+        assert run(["translate", "--events", events_file, "--event", "zz", "--formula", "p"]) == 2
+        assert capsys.readouterr().err == captured.err
+
     def test_non_base_precondition_exit_1(self, tmp_path, capsys):
         path = tmp_path / "events.json"
         path.write_text(json.dumps({**EVENTS, "pre": {"a0": "<!p> q", "a1": "true"}}))

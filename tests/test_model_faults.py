@@ -144,6 +144,16 @@ def test_reader_and_constructor_raise_alike(fault):
     assert str(via_reader.value) == str(via_constructor.value) == line[7:-1]
 
 
+def test_constructor_rejects_precondition_of_non_event():
+    # the JSON reader reads the preconditions of the listed events only,
+    # so this fault can be built in code alone
+    data = {**GOOD_EVENTS, "pre": {**GOOD_EVENTS["pre"], "zz": "p"}}
+    with pytest.raises(ParseError) as got:
+        _build("events", data)
+    assert type(got.value) is ParseError
+    assert str(got.value) == "precondition for unknown event 'zz'"
+
+
 @pytest.mark.parametrize("kind", COMMANDS)
 def test_fault_free_inputs_read(kind):
     data = GOOD_MODEL if kind == "model" else GOOD_EVENTS

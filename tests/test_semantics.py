@@ -217,18 +217,23 @@ class TestErrors:
     def test_total_enumeration_budget(self):
         m = KripkeModel(("w0", "w1", "w2"), frozenset(), {})
         budget = EvalBudget(max_total_subset_enumerations=10)
-        # the message names the binder that hit the limit and the work done:
-        # each subset p tries is followed by the 4 that q tries under it, so
-        # the 11th subset tried is p's third and the 8th is one of q's
-        phi = ExistsProp("p", ExistsProp("q", And(p, q)))
+        # the message names the binder that hit the limit and the work done.
+        # A block is enumerated jointly and named by its first binder: the
+        # 8 triples within w0, then the 7 new ones within w1, so the 11th
+        # tuple tried is one of w1's
+        block = parse_formula("exists p. exists q. exists r. (p & q & r)")
         with pytest.raises(BudgetExceeded) as got:
-            extension(m, phi, budget=budget)
+            extension(m, block, budget=budget)
         assert str(got.value) == (
             "subset enumeration budget exhausted (10 subsets) while enumerating "
             "`exists p`: 10 subsets tried so far"
         )
+        # under E neither binder has a radius, so they nest: the empty p is
+        # followed by the 8 subsets q tries under it, and the 8th subset
+        # tried is q's 7th
+        nested = parse_formula("exists p. exists q. E (p & q)")
         with pytest.raises(BudgetExceeded) as got:
-            extension(m, phi, budget=EvalBudget(max_total_subset_enumerations=7))
+            extension(m, nested, budget=EvalBudget(max_total_subset_enumerations=7))
         assert str(got.value).endswith("while enumerating `exists q`: 7 subsets tried so far")
         with pytest.raises(BudgetExceeded) as got:
             gfp_oracle(m, "p", p, budget=EvalBudget(max_total_subset_enumerations=5))
@@ -345,19 +350,28 @@ class TestWorkCounters:
             ("nu x. (q & <> x)", {"w0", "w2"}, (0, 8, 0, 0)),
             # a node over four props is memoised while at most three are bound
             ("exists r. (<> r & (r | p | q | s))", {"w0", "w1", "w2"}, (5, 30, 0, 0)),
+            # a block of four, enumerated jointly
             (
                 "exists r. exists s. exists t. exists u. (<> (r & s & t & u) | p)",
                 {"w0", "w1", "w2"},
-                (470, 146, 0, 0),
+                (86, 38, 0, 0),
             ),
             # no locality radius, so every subset is tried, as it always was:
-            # r under U but not in guard form, under nu, under an event
-            # diamond, in an announced formula, and a bound precondition prop
+            # r under U but not in guard form, under nu, in an announced
+            # formula, and a bound precondition prop
             ("exists r. (~r & U (p -> <> r))", {"w0", "w1"}, (8, 47, 0, 0)),
             ("exists r. (~r & (nu x. ([] r & <> x)))", {"w2"}, (8, 70, 0, 0)),
-            ("exists r. (~r & <a0> [] r)", {"w1", "w2"}, (8, 50, 1, 0)),
+            # under an event diamond r keeps its depth, radius 1
+            ("exists r. (~r & <a0> [] r)", {"w1", "w2"}, (7, 47, 1, 0)),
             ("exists r. (~r & <!<> r> q)", {"w0", "w2"}, (8, 45, 0, 6)),
             ("exists p. (p & <a1> true)", set(), (8, 46, 7, 0)),
+            # the nu encoding, by iteration, and a guarded block
+            ("exists x. (x & U (x -> (q & [] x)))", set(), (4, 14, 0, 0)),
+            (
+                "exists r. exists s. (U (r -> q) & U (s -> ~q) & <> (r | s) & ~r & ~s)",
+                {"w0", "w1", "w2"},
+                (5, 53, 0, 0),
+            ),
         ],
     )
     def test_direct(self, text, ext, work):
@@ -369,7 +383,16 @@ class TestWorkCounters:
         chi = translate_event(two_events(), "a0", parse_formula("exists r. (r & <> ~r)"))
         ev = Evaluator(three_cycle())
         assert ev.extension(chi) == {"w0", "w1", "w2"}
-        assert self.counters(ev) == (25, 278, 0, 0)
+        assert self.counters(ev) == (11, 160, 0, 0)
+
+    def test_translated_n12(self):
+        # nesting each block of three fresh props took 264,033 subsets here
+        m, events, phi = n_family(12)
+        ev = Evaluator(m)
+        # the direct route quantifies over the 24-world product
+        direct = Evaluator(m, events, EvalBudget(max_worlds_for_quantifier=24))
+        assert ev.extension(translate_event(events, "a0", phi.body)) == direct.extension(phi)
+        assert ev._work.ticks == 15_526
 
 
 def n_family(n):
@@ -398,20 +421,31 @@ class TestNeighbourhoodEnumeration:
     """Trying only the witnesses within each world's neighbourhood of the
     binder's locality radius gives exactly the extensions that trying
     every subset of the guard gives, which is what the evaluator does when
-    the radius is forced to none."""
+    the radius is forced to none.  Likewise, enumerating a block of
+    `exists` jointly and iterating the nu encoding `exists x. (x & U (x ->
+    B))` give exactly what nesting the block and enumerating x give, which
+    is what it does when both shapes are forced off."""
 
     @staticmethod
     def flat(monkeypatch):
         scan = Evaluator._scan
-        monkeypatch.setattr(Evaluator, "_scan", lambda self, phi: (scan(self, phi)[0], None))
+        monkeypatch.setattr(
+            Evaluator, "_scan", lambda self, phi: (scan(self, phi)[0], None, None)
+        )
 
-    def evaluations(self, monkeypatch, flat, run):
+    @staticmethod
+    def shapes_off(monkeypatch):
+        scan = Evaluator._scan
+        monkeypatch.setattr(Evaluator, "_scan", lambda self, phi: (*scan(self, phi)[:2], None))
+
+    def evaluations(self, monkeypatch, force, run):
         """The evaluations that `run()` asks of any session, in order, as
-        (method, model, events, arguments, result), and its return value."""
+        (method, model, events, arguments, result), and its return value,
+        with `force(mp)` applied first unless it is None."""
         calls = []
         with monkeypatch.context() as mp:
-            if flat:
-                self.flat(mp)
+            if force is not None:
+                force(mp)
             for name in ("extension", "extension_mask", "holds"):
                 method = getattr(Evaluator, name)
 
@@ -423,38 +457,59 @@ class TestNeighbourhoodEnumeration:
                 mp.setattr(Evaluator, name, recorded)
             return calls, run()
 
+    def cross_check(self, monkeypatch, session, formula):
+        """`formula`'s extension on a fresh `session()`, equal with the
+        radius and with the shapes forced off, and at no more work."""
+        ev = session()
+        ext = ev.extension(formula)
+        for force in (self.flat, self.shapes_off):
+            with monkeypatch.context() as mp:
+                force(mp)
+                forced = session()
+                assert forced.extension(formula) == ext
+            assert TestWorkCounters.counters(ev) <= TestWorkCounters.counters(forced)
+
     def test_harness_inputs(self, monkeypatch):
         # only the first three suites generate quantifiers; a few cases of
         # the others show that their evaluations are untouched
         cases = {"translation": 700, "announcement": 700, "fixpoint": 700,
                  "nominals": 50, "bisim_lift": 50, "degree": 50}
         quantified = set()
+        shaped = {"_eval_block": 0, "_eval_nu": 0}
+
+        def counted(mp):
+            # `_eval_nu` serves `nu` nodes too; the encoding is an `exists`
+            for name in shaped:
+                method = getattr(Evaluator, name)
+
+                def counting(self, phi, *args, _name=name, _method=method):
+                    shaped[_name] += type(phi) is ExistsProp
+                    return _method(self, phi, *args)
+
+                mp.setattr(Evaluator, name, counting)
+
         for suite, n in cases.items():
             cfg = FuzzConfig(seed=9, cases=n, suites=(suite,))
-            got, report = self.evaluations(monkeypatch, False, lambda: run_fuzz(cfg))
-            want, flat_report = self.evaluations(monkeypatch, True, lambda: run_fuzz(cfg))
-            assert got and got == want, suite
-            assert report.payload() == flat_report.payload()
-            assert report.ok
+            got, report = self.evaluations(monkeypatch, counted, lambda: run_fuzz(cfg))
+            assert got and report.ok, suite
+            for force in (self.flat, self.shapes_off):
+                want, forced_report = self.evaluations(monkeypatch, force, lambda: run_fuzz(cfg))
+                assert got == want, (suite, force.__name__)
+                assert report.payload() == forced_report.payload()
             for _, model, events, args, _ in got:
                 phi = args[-1] if isinstance(args[-1], Formula) else args[0]
                 if contains_node(phi, (ExistsProp, ForallProp)):
                     quantified.add((model, events, phi))
         assert len(quantified) >= 2000
+        # the translation suite builds blocks, the fixpoint suite encodings
+        assert shaped["_eval_block"] >= 250 and shaped["_eval_nu"] >= 700, shaped
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_n_family(self, monkeypatch, n):
         m, events, phi = n_family(n)
         chi = translate_event(events, "a0", phi.body)
-        for session, formula in ((lambda: Evaluator(m, events), phi),
-                                 (lambda: Evaluator(m), chi)):
-            ev = session()
-            ext = ev.extension(formula)
-            with monkeypatch.context() as mp:
-                self.flat(mp)
-                flat_ev = session()
-                assert flat_ev.extension(formula) == ext
-            assert TestWorkCounters.counters(ev) <= TestWorkCounters.counters(flat_ev)
+        self.cross_check(monkeypatch, lambda: Evaluator(m, events), phi)
+        self.cross_check(monkeypatch, lambda: Evaluator(m), chi)
 
     @pytest.mark.parametrize(
         "text",
@@ -481,17 +536,26 @@ class TestNeighbourhoodEnumeration:
             "exists r. (~r & U (q -> r))",
             "exists r. (~r & E (r & p) & E (r & q))",
             "exists r. (~r & ~U (r -> q) & ~U (r -> p))",
+            # the nu encoding, with x not free in B, nested, and two that
+            # are not it: x negative in B, and B with an announcement
+            "exists x. (x & U (x -> (q & [] x)))",
+            "exists x. (x & U (x -> (q & <> x)))",
+            "exists x. (x & U (x -> <> q))",
+            "exists x. (x & U (x -> (exists y. (y & U (y -> (x & <> y))))))",
+            "exists x. (x & U (x -> (q & ~[] x)))",
+            "exists x. (x & U (x -> <!q> <> x))",
+            # blocks: guarded, with a radius through an event diamond, with
+            # a guard naming a member (so they nest), and one that a
+            # repeated variable ends
+            "exists r. exists s. (U (r -> q) & U (s -> ~q) & <> (r | s) & ~r & ~s)",
+            "exists r. exists s. (<a0> [] (r | s) & ~r & ~s)",
+            "exists r. exists s. (U (s -> r) & <> s & ~r)",
+            "exists r. exists s. exists r. (<> r & s)",
         ],
     )
     def test_hand_cases(self, monkeypatch, text):
         phi = parse_formula(text)
-        ev = Evaluator(three_cycle(), events=two_events())
-        ext = ev.extension(phi)
-        with monkeypatch.context() as mp:
-            self.flat(mp)
-            flat_ev = Evaluator(three_cycle(), events=two_events())
-            assert flat_ev.extension(phi) == ext
-        assert TestWorkCounters.counters(ev) <= TestWorkCounters.counters(flat_ev)
+        self.cross_check(monkeypatch, lambda: Evaluator(three_cycle(), events=two_events()), phi)
 
     def test_bound_precondition_props(self, monkeypatch):
         # p is a precondition prop of both events, so an event diamond in
@@ -523,3 +587,12 @@ class TestNeighbourhoodEnumeration:
             assert flat_ev.extension(phi) == {"w0", "w1", "w2"}
         assert ev.extension(phi) == {"w0", "w1", "w2"}
         assert TestWorkCounters.counters(ev) == TestWorkCounters.counters(flat_ev) == (1, 6, 0, 1)
+
+    @pytest.mark.parametrize(
+        "text", ["exists r. exists s. (r | <> ~s)", "exists x. (x & U (x -> [] x))"]
+    )
+    def test_empty_model_shapes(self, text):
+        # a block and the nu encoding also try the empty witness once
+        ev = Evaluator(three_cycle(), events=two_events())
+        assert ev.extension(parse_formula(f"~ <!false> ({text})")) == {"w0", "w1", "w2"}
+        assert ev._work.ticks == 1
