@@ -4,8 +4,10 @@ submodels.
 
 All model values are immutable.  Internally-empty models (the result of
 relativising to nothing, or of a product whose preconditions fail
-everywhere) are representable and flow through the evaluator; only
-top-level parsed input models are required to be non-empty.
+everywhere) are representable; only top-level parsed input models are
+required to be non-empty.  The evaluator builds its product and
+relativised sessions from bitmasks; the named operations here are their
+reference, and what the `product` and `announce` commands print.
 
 The constructors of `KripkeModel`, `TaggedModel` and `EventModel` are the
 one place where structural invariants are checked (unique names, edges,
@@ -174,45 +176,36 @@ def pair_world(w: str, e: str) -> str:
     return f"({w},{e})"
 
 
-def product_from_extensions(m: KripkeModel, a: EventModel, pre_ext, *, with_pairs=False):
+def product_from_extensions(m: KripkeModel, a: EventModel, pre_ext) -> TaggedModel:
     """Product model from precomputed precondition extensions.
 
     `pre_ext` maps each event to the set of worlds where its precondition
     holds.  Pair worlds are named deterministically "(w,e)" in world-major
     order so that output is diffable.
     """
-    worlds: list[str] = []
-    pairs: list[tuple[str, str]] = []
-    tags: dict[str, str] = {}
-    for w in m.worlds:
-        for e in a.events:
-            if w in pre_ext[e]:
-                pid = pair_world(w, e)
-                worlds.append(pid)
-                pairs.append((w, e))
-                tags[pid] = e
-    wset = set(worlds)
+    pairs = [(w, e) for w in m.worlds for e in a.events if w in pre_ext[e]]
+    tags = {pair_world(w, e): e for w, e in pairs}  # its keys are the worlds, in order
     relation = set()
     for u, v in m.relation:
         for e1, e2 in a.relation:
             p1, p2 = pair_world(u, e1), pair_world(v, e2)
-            if p1 in wset and p2 in wset:
+            if p1 in tags and p2 in tags:
                 relation.add((p1, p2))
     valuation = {
         p: frozenset(pair_world(w, e) for (w, e) in pairs if w in xs)
         for p, xs in m.valuation.items()
     }
-    tm = TaggedModel(KripkeModel(tuple(worlds), frozenset(relation), valuation), tags)
-    return (tm, pairs) if with_pairs else tm
+    return TaggedModel(KripkeModel(tuple(tags), frozenset(relation), valuation), tags)
 
 
 def product_update(m: KripkeModel, a: EventModel, budget=None) -> TaggedModel:
     """Product of a model with an event model: worlds are (world, event)
     pairs where the precondition holds, edges need edges in both
     components, and the valuation is lifted along the first component."""
-    from .semantics import extension  # semantics imports models
+    from .semantics import Evaluator  # semantics imports models
 
-    pre_ext = {e: extension(m, a.pre[e], budget=budget) for e in a.events}
+    ev = Evaluator(m, budget=budget)
+    pre_ext = {e: ev.extension(a.pre[e]) for e in a.events}
     return product_from_extensions(m, a, pre_ext)
 
 

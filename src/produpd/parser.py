@@ -392,11 +392,10 @@ def parse_event_model(text: str) -> EventModel:
     if not isinstance(raw_pre, dict):
         raise ParseError("'pre' must map events to formula strings")
     pre: dict[str, Formula] = {}
-    for e in events:
-        if e in raw_pre:
-            if not isinstance(raw_pre[e], str):
-                raise ParseError(f"precondition of {e!r} must be a formula string")
-            pre[e] = parse_formula(raw_pre[e])
+    for e, text in raw_pre.items():
+        if not isinstance(text, str):
+            raise ParseError(f"precondition of {e!r} must be a formula string")
+        pre[e] = parse_formula(text)
     return EventModel(tuple(events), relation, pre)
 
 

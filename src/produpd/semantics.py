@@ -2,9 +2,10 @@
 
 Quantifiers enumerate witness subsets in ascending bit order over the
 world ordering, the universal modality checks the whole domain, event
-diamonds build the product model and announcements relativise, and the
-greatest fixpoint is computed by descending iteration.  World sets are
-integer bitmasks.
+diamonds evaluate their body in a product session and announcements in a
+relativised one, and the greatest fixpoint is computed by descending
+iteration.  World sets are integer bitmasks, and a child session is built
+from its parent's masks, in index space, without naming a model.
 
 A quantifier does not always need every subset of the domain.  One
 static scan of each binder's body, cached per session, finds two things:
@@ -49,15 +50,7 @@ from .errors import (
     UnknownEvent,
     WorldOutOfModel,
 )
-from .models import (
-    EventModel,
-    KripkeModel,
-    TaggedModel,
-    as_tagged,
-    pair_world,
-    product_from_extensions,
-    relativise,
-)
+from .models import EventModel, KripkeModel, as_tagged, pair_world
 from .syntax import (
     ActionDiamond,
     And,
@@ -135,26 +128,60 @@ class Evaluator:
     the witnesses that its guard and its radius leave, or evaluates its
     binder shape directly (see the module docstring).  `events` supplies
     the ambient event model that event diamonds and nominals refer to.
+
+    With `_pairs`, `model` is the parent session and the new session is
+    its child over the listed (parent world index, event) pairs: the
+    product worlds (w, e), or, with the event None, the worlds w that a
+    relativisation keeps.  All of it comes from the parent's masks: the
+    valuation lifted along w, one tag mask per event of a product, and an
+    edge wherever both w and e have one.
     """
 
-    def __init__(self, model, events: EventModel | None = None, budget=None, _work=None):
-        tagged = as_tagged(model)
-        self.model: KripkeModel = tagged.model
-        self.tags = tagged.tags
-        self.events = events
-        self.budget = budget if budget is not None else EvalBudget()
-        self.worlds = list(self.model.worlds)
+    def __init__(self, model, events: EventModel | None = None, budget=None, _pairs=None):
+        if _pairs is None:
+            tagged = as_tagged(model)
+            self.model: KripkeModel = tagged.model
+            self.events = events
+            self.budget = budget if budget is not None else EvalBudget()
+            self._work = _Work()
+            self._pre_props: frozenset[str] = frozenset()
+            for f in events.pre.values() if events is not None else ():
+                self._pre_props |= free_props(f)
+            self.worlds = list(self.model.worlds)
+            self.index = {w: i for i, w in enumerate(self.worlds)}
+            self.succ = [0] * len(self.worlds)
+            for u, v in self.model.relation:
+                self.succ[self.index[u]] |= 1 << self.index[v]
+            self.base_val = {p: self.mask_of(xs) for p, xs in self.model.valuation.items()}
+            self.tag_mask: dict[str, int] = {}
+            for w, e in tagged.tags.items():
+                self.tag_mask[e] = self.tag_mask.get(e, 0) | (1 << self.index[w])
+        else:
+            parent = model
+            self.events, self.budget, self._work = parent.events, parent.budget, parent._work
+            self._pre_props = parent._pre_props
+            self._parent_index: list[int] = [i for i, _ in _pairs]
+            self.worlds = [
+                parent.worlds[i] if e is None else pair_world(parent.worlds[i], e)
+                for i, e in _pairs
+            ]
+            self.index = {w: i for i, w in enumerate(self.worlds)}
+            self.base_val = {p: self._from_parent(m) for p, m in parent.base_val.items()}
+            # per event, the tags its edges lead to; a relativisation keeps
+            # every edge, and an empty child has no worlds to tag
+            reach = {None: -1}
+            if _pairs and _pairs[0][1] is not None:
+                self.tag_mask = dict.fromkeys(self.events.events, 0)
+                for c, (_, e) in enumerate(_pairs):
+                    self.tag_mask[e] |= 1 << c
+                reach = dict.fromkeys(self.events.events, 0)
+                for e1, e2 in self.events.relation:
+                    reach[e1] |= self.tag_mask[e2]
+            else:
+                self.tag_mask = {e: self._from_parent(m) for e, m in parent.tag_mask.items()}
+            self.succ = [self._from_parent(parent.succ[i]) & reach[e] for i, e in _pairs]
         self.n = len(self.worlds)
         self.full = (1 << self.n) - 1
-        self.index = {w: i for i, w in enumerate(self.worlds)}
-        self.succ = [0] * self.n
-        for u, v in self.model.relation:
-            self.succ[self.index[u]] |= 1 << self.index[v]
-        self.base_val = {p: self.mask_of(xs) for p, xs in self.model.valuation.items()}
-        self.tag_mask: dict[str, int] = {}
-        for w, e in self.tags.items():
-            self.tag_mask[e] = self.tag_mask.get(e, 0) | (1 << self.index[w])
-        self._work = _work if _work is not None else _Work()
         self._memo: dict = {}
         self._plans: dict = {}
         self._scans: dict = {}
@@ -162,13 +189,6 @@ class Evaluator:
         self._relativised: dict = {}
         self._submasks: dict = {}
         self._hoods: dict = {}
-        self._parent_index: list[int] = []
-        self._pre_props: frozenset[str] = frozenset()
-        if events is not None:
-            acc: frozenset[str] = frozenset()
-            for e in events.events:
-                acc |= free_props(events.pre[e])
-            self._pre_props = acc
 
     # -- mask plumbing -------------------------------------------------
 
@@ -565,7 +585,7 @@ class Evaluator:
     def _eval_nominal(self, phi: Nominal, env: dict) -> int:
         if self.n == 0:
             return 0
-        if not self.tags:
+        if not self.tag_mask:
             raise NominalOutsideProductContext(
                 f"nominal j{phi.index} evaluated on a model without event tags"
             )
@@ -584,16 +604,9 @@ class Evaluator:
         key = tuple((p, env[p]) for p in sorted(self._pre_props) if p in env)
         sess = self._products.get(key)
         if sess is None:
-            pre_ext = {
-                e: self.worlds_of(self._eval(self.events.pre[e], env))
-                for e in self.events.events
-            }
-            tm, pairs = product_from_extensions(
-                self.model, self.events, pre_ext, with_pairs=True
-            )
-            sess = Evaluator(tm, self.events, self.budget, self._work)
-            sess._parent_index = [self.index[w] for w, _ in pairs]
-            self._products[key] = sess
+            pre = [(e, self._eval(self.events.pre[e], env)) for e in self.events.events]
+            pairs = [(i, e) for i in range(self.n) for e, mask in pre if (mask >> i) & 1]
+            sess = self._products[key] = Evaluator(self, _pairs=pairs)
         return sess
 
     def _eval_action(self, phi: ActionDiamond, env: dict) -> int:
@@ -606,23 +619,14 @@ class Evaluator:
         prod = self._product_session(env)
         child_env = {p: prod._from_parent(m) for p, m in env.items()}
         body = prod._eval(phi.body, child_env)
-        out = 0
-        for i, w in enumerate(self.worlds):
-            j = prod.index.get(pair_world(w, phi.event))
-            if j is not None and (body >> j) & 1:
-                out |= 1 << i
-        return out
+        return prod._to_parent(body & prod.tag_mask.get(phi.event, 0))
 
     def _eval_announce(self, phi: Announce, env: dict) -> int:
         a_mask = self._eval(phi.announced, env)
         sess = self._relativised.get(a_mask)
         if sess is None:
-            keep = self.worlds_of(a_mask)
-            sub = relativise(self.model, keep)
-            tags = {w: e for w, e in self.tags.items() if w in keep} if self.tags else {}
-            sess = Evaluator(TaggedModel(sub, tags), self.events, self.budget, self._work)
-            sess._parent_index = [self.index[w] for w in sub.worlds]
-            self._relativised[a_mask] = sess
+            keep = [(i, None) for i in range(self.n) if (a_mask >> i) & 1]
+            sess = self._relativised[a_mask] = Evaluator(self, _pairs=keep)
         child_env = {p: sess._from_parent(m) for p, m in env.items()}
         body = sess._eval(phi.body, child_env)
         return a_mask & sess._to_parent(body)

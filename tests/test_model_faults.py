@@ -82,6 +82,12 @@ FAULTS = {
         ParseError,
         "error: missing precondition for event 'a1'\n",
     ),
+    "precondition-unknown-event": (
+        "events",
+        {**GOOD_EVENTS, "pre": {**GOOD_EVENTS["pre"], "zz": "p"}},
+        ParseError,
+        "error: precondition for unknown event 'zz'\n",
+    ),
 }
 
 # the commands that read each kind of file
@@ -142,16 +148,6 @@ def test_reader_and_constructor_raise_alike(fault):
     assert type(via_reader.value) is cls
     assert type(via_constructor.value) is cls
     assert str(via_reader.value) == str(via_constructor.value) == line[7:-1]
-
-
-def test_constructor_rejects_precondition_of_non_event():
-    # the JSON reader reads the preconditions of the listed events only,
-    # so this fault can be built in code alone
-    data = {**GOOD_EVENTS, "pre": {**GOOD_EVENTS["pre"], "zz": "p"}}
-    with pytest.raises(ParseError) as got:
-        _build("events", data)
-    assert type(got.value) is ParseError
-    assert str(got.value) == "precondition for unknown event 'zz'"
 
 
 @pytest.mark.parametrize("kind", COMMANDS)

@@ -26,6 +26,7 @@ from produpd import (
     Nominal,
     Or,
     PositivityViolation,
+    TaggedModel,
     UnknownEvent,
     announcement_event_model,
     extension,
@@ -34,8 +35,10 @@ from produpd import (
     parse_formula,
     print_formula,
     product_update,
+    relativise,
     run_fuzz,
     translate_event,
+    with_valuation,
 )
 from produpd.harness import (
     FuzzConfig,
@@ -44,6 +47,7 @@ from produpd.harness import (
     random_formula,
     random_model,
 )
+from produpd.models import pair_world
 from produpd.semantics import Evaluator
 from produpd.syntax import LanguageTag, contains_node
 
@@ -596,3 +600,86 @@ class TestNeighbourhoodEnumeration:
         ev = Evaluator(three_cycle(), events=two_events())
         assert ev.extension(parse_formula(f"~ <!false> ({text})")) == {"w0", "w1", "w2"}
         assert ev._work.ticks == 1
+
+
+class TestChildSessions:
+    """Product and relativised sessions, built from their parent's masks,
+    equal sessions over the named reference models: `product_update` of
+    the parent's model for a product, `relativise` with the tags kept for
+    a relativisation, at every depth of the session tree."""
+
+    @staticmethod
+    def layout(ev, skip):
+        # the named models drop empty valuations and tags; a prop bound
+        # above a product is read from the env there, not from `base_val`
+        return (
+            ev.worlds,
+            ev.succ,
+            {p: m for p, m in ev.base_val.items() if m and p not in skip},
+            {e: m for e, m in ev.tag_mask.items() if m},
+        )
+
+    def check_children(self, ev, named, a, seen, skip=frozenset()):
+        """Compare every child below `ev`, whose named model is `named`."""
+        for key, child in ev._products.items():
+            base = named.model
+            for prop, mask in key:
+                base = with_valuation(base, prop, ev.worlds_of(mask))
+            ref = product_update(base, a)
+            bound = skip | {prop for prop, _ in key}
+            ref_index = Evaluator(ref, a).index
+            parents = [
+                i for i, w in enumerate(ev.worlds) for e in a.events
+                if pair_world(w, e) in ref_index
+            ]
+            self.compare(child, ref, a, parents, bound)
+            seen["product" if child.n else "empty product"] += 1
+            seen["bound precondition prop"] += bool(key)
+            self.check_children(child, ref, a, seen, bound)
+        for a_mask, child in ev._relativised.items():
+            sub = relativise(named.model, ev.worlds_of(a_mask))
+            tags = {w: named.tags[w] for w in sub.worlds} if named.tags else {}
+            ref = TaggedModel(sub, tags)
+            self.compare(child, ref, a, [ev.index[w] for w in sub.worlds], skip)
+            seen["relativised" if child.n else "empty relativised"] += 1
+            if named.tags:
+                seen["relativised product"] += 1
+            self.check_children(child, ref, a, seen, skip)
+
+    def compare(self, child, ref, a, parents, skip):
+        assert self.layout(child, skip) == self.layout(Evaluator(ref, a), skip)
+        assert child._parent_index == parents
+
+    def test_harness_inputs(self):
+        cfg = FuzzConfig(seed=21, cases=150, max_worlds=5)
+        seen = dict.fromkeys(
+            ("product", "empty product", "relativised", "empty relativised",
+             "relativised product", "bound precondition prop"),
+            0,
+        )
+        for i in range(cfg.cases):
+            m, a = random_model(cfg, i), random_event_model(cfg, i)
+            announced = _gen_formula(cfg.stream(i, "announced"), 4, cfg.props)
+            # quantifier-free: a product of a product may outgrow the budget
+            psi = random_formula(
+                cfg, i, LanguageTag.SCOPED_NOMINALS, n_events=len(a.events), max_eps=0
+            )
+            formulas = []
+            for k, e in enumerate(a.events):
+                then = a.events[(k + 1) % len(a.events)]
+                formulas += [
+                    ActionDiamond(e, Announce(announced, ActionDiamond(then, psi))),
+                    Announce(announced, ActionDiamond(e, Box(psi))),
+                    Announce(Bottom(), ActionDiamond(e, TOP)),
+                    ExistsProp("p", ActionDiamond(e, Diamond(Announce(p, Not(p))))),
+                ]
+            cases = [(a, formulas)]
+            if i % 10 == 0:  # no precondition holds: the product is empty
+                never = EventModel(a.events, a.relation, dict.fromkeys(a.events, Bottom()))
+                cases.append((never, [ActionDiamond(e, TOP) for e in a.events]))
+            for events, phis in cases:
+                ev = Evaluator(m, events=events)
+                for phi in phis:
+                    ev.extension(phi)
+                self.check_children(ev, TaggedModel(m, {}), events, seen)
+        assert min(seen.values()) >= 20, seen
