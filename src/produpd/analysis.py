@@ -39,6 +39,15 @@ def _atoms_agree(m1: KripkeModel, m2: KripkeModel, u: str, v: str) -> bool:
     return True
 
 
+def _forth_back(m1: KripkeModel, m2: KripkeModel, pairs, u: str, v: str) -> bool:
+    """Every successor of u is related by `pairs` to some successor of v
+    (forth), and every successor of v to some successor of u (back)."""
+    s1, s2 = m1.successors(u), m2.successors(v)
+    return all(any((u2, v2) in pairs for v2 in s2) for u2 in s1) and all(
+        any((u2, v2) in pairs for u2 in s1) for v2 in s2
+    )
+
+
 def is_bisimulation(m1: KripkeModel, m2: KripkeModel, z: Bisimulation) -> bool:
     """Atom agreement plus the forth and back simulation conditions for
     every pair.  The empty relation qualifies vacuously."""
@@ -46,16 +55,9 @@ def is_bisimulation(m1: KripkeModel, m2: KripkeModel, z: Bisimulation) -> bool:
     for u, v in z.pairs:
         if u not in w1 or v not in w2:
             raise WorldOutOfModel(f"pair ({u},{v}) outside the models")
-    for u, v in z.pairs:
-        if not _atoms_agree(m1, m2, u, v):
-            return False
-        for u2 in m1.successors(u):
-            if not any((u2, v2) in z.pairs for v2 in m2.successors(v)):
-                return False
-        for v2 in m2.successors(v):
-            if not any((u2, v2) in z.pairs for u2 in m1.successors(u)):
-                return False
-    return True
+    return all(
+        _atoms_agree(m1, m2, u, v) and _forth_back(m1, m2, z.pairs, u, v) for u, v in z.pairs
+    )
 
 
 def greatest_bisimulation(m1: KripkeModel, m2: KripkeModel) -> Bisimulation:
@@ -71,14 +73,7 @@ def greatest_bisimulation(m1: KripkeModel, m2: KripkeModel) -> Bisimulation:
     while changed:
         changed = False
         for u, v in list(pairs):
-            ok = all(
-                any((u2, v2) in pairs for v2 in m2.successors(v))
-                for u2 in m1.successors(u)
-            ) and all(
-                any((u2, v2) in pairs for u2 in m1.successors(u))
-                for v2 in m2.successors(v)
-            )
-            if not ok:
+            if not _forth_back(m1, m2, pairs, u, v):
                 pairs.discard((u, v))
                 changed = True
     return Bisimulation(frozenset(pairs))

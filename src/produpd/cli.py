@@ -197,7 +197,9 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    suites = tuple(s.strip() for s in args.suites.split(",")) if args.suites else SUITE_NAMES
+    suites = SUITE_NAMES
+    if args.suites is not None:  # an empty value is a bad value, not an absent one
+        suites = tuple(s.strip() for s in args.suites.split(","))
     try:
         cfg = FuzzConfig(
             seed=args.seed,
@@ -318,10 +320,7 @@ def run(argv) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.fn(args)
-    except (ParseError, PositivityViolation) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ParseError, PositivityViolation, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

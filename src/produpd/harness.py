@@ -24,7 +24,7 @@ import math
 import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .analysis import (
@@ -124,6 +124,9 @@ class FuzzConfig:
             raise ValueError(f"unknown suites: {unknown}")
         if not suites:
             raise ValueError("at least one suite must be selected")
+        repeated = sorted({s for s in suites if suites.count(s) > 1})
+        if repeated:
+            raise ValueError(f"repeated suites: {repeated}")
         object.__setattr__(self, "suites", suites)
 
     def stream(self, case_index: int, label: str) -> random.Random:
@@ -137,17 +140,7 @@ class FuzzConfig:
         return _PROP_POOL[: self.max_props]
 
     def to_jsonable(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases,
-            "max_worlds": self.max_worlds,
-            "max_events": self.max_events,
-            "max_props": self.max_props,
-            "max_formula_size": self.max_formula_size,
-            "max_eps": self.max_eps,
-            "edge_probability": self.edge_probability,
-            "suites": list(self.suites),
-        }
+        return {**asdict(self), "suites": list(self.suites)}
 
 
 def _pick(rng: random.Random, options):

@@ -210,33 +210,23 @@ def product_update(m: KripkeModel, a: EventModel, budget=None) -> TaggedModel:
 
 
 def generated_submodel_k(m: KripkeModel, w: str, k: int) -> PointedModel:
-    """Restriction to the worlds reachable from `w` in at most `k` relation
-    steps.  At radius zero the submodel sees no edges at all; for positive
-    radius the relation is fully restricted to the ball."""
+    """Restriction (`relativise`) to the worlds reachable from `w` in at
+    most `k` relation steps.  At radius zero the submodel sees no edges at
+    all; for positive radius the relation is fully restricted to the ball."""
     if w not in m.worlds:
         raise WorldOutOfModel(f"world {w!r} not in the model")
     if k < 0:
         raise ValueError("radius must be non-negative")
-    dist = {w: 0}
-    frontier = [w]
-    steps = 0
-    while frontier and steps < k:
-        steps += 1
-        nxt = []
-        for u in frontier:
-            for x, v in m.relation:
-                if x == u and v not in dist:
-                    dist[v] = steps
-                    nxt.append(v)
-        frontier = nxt
-    keep = frozenset(dist)
-    worlds = tuple(x for x in m.worlds if x in keep)
+    ball, frontier = {w}, {w}
+    for _ in range(k):
+        frontier = {v for u, v in m.relation if u in frontier} - ball
+        if not frontier:
+            break
+        ball |= frontier
+    sub = relativise(m, ball)
     if k == 0:
-        relation: frozenset[tuple[str, str]] = frozenset()
-    else:
-        relation = frozenset((u, v) for u, v in m.relation if u in keep and v in keep)
-    valuation = {p: xs & keep for p, xs in m.valuation.items()}
-    return PointedModel(KripkeModel(worlds, relation, valuation), w)
+        sub = KripkeModel(sub.worlds, frozenset(), sub.valuation)
+    return PointedModel(sub, w)
 
 
 def announcement_event_model(a: Formula) -> EventModel:

@@ -1,11 +1,11 @@
 """Exhaustive model checking over finite (tagged) models.
 
-Quantifiers enumerate witness subsets in ascending bit order over the
-world ordering, the universal modality checks the whole domain, event
-diamonds evaluate their body in a product session and announcements in a
-relativised one, and the greatest fixpoint is computed by descending
-iteration.  World sets are integer bitmasks, and a child session is built
-from its parent's masks, in index space, without naming a model.
+Quantifiers try witness subsets from one list per guard and radius, the
+universal modality checks the whole domain, event diamonds evaluate their
+body in a product session and announcements in a relativised one, and
+the greatest fixpoint is computed by descending iteration.  World sets
+are integer bitmasks, and a child session is built from its parent's
+masks, in index space, without naming a model.
 
 A quantifier does not always need every subset of the domain.  One
 static scan of each binder's body, cached per session, finds two things:
@@ -16,18 +16,22 @@ static scan of each binder's body, cached per session, finds two things:
 - the binder's locality radius d, the deepest box or diamond nesting
   above a free occurrence of its variable.  The body's truth at a world w
   then depends on the variable only within N_d(w), the worlds reachable
-  from w in at most d steps, so the subsets tried are those lying within
-  some N_d(w): every witness agrees on N_d(w) with one of them.  There is
-  no radius when an occurrence sits under `U`, `E` or `nu`, in an
-  announced formula, or under an event diamond when the variable is a
-  precondition prop.  Then every subset of the guard is tried, as it is
-  when one world's neighbourhood holds the whole guard.
+  from w in at most d steps, so the subsets tried are, world by world,
+  those of the guard lying within N_d(w), each once: every witness
+  agrees on N_d(w) with one of them.  There is no radius when an
+  occurrence sits under `U`, `E` or `nu`, in an announced formula, or
+  under an event diamond when the variable is a precondition prop.  Then
+  every subset of the guard is tried, in ascending order.
 
 It also picks out the rewriter's two binder shapes (`_shape`).  A block
 `exists f0. exists f1. ...`, one fresh prop per event, is enumerated
-jointly, not nested.  `exists x. (x & U (x -> B))`, the encoding of
-`nu x. B`, holds on the union of the X <= B(X), the greatest fixpoint
-(Knaster-Tarski), so it is iterated instead of enumerated.
+jointly, not nested: world by world, each tuple of its members'
+witnesses within N_{d_i}(w) once.  A lone `exists` is a block of one,
+and `forall` tries the same witnesses with the whole domain as guard;
+each list is built once per session (`_witnesses`).
+`exists x. (x & U (x -> B))`, the encoding of `nu x. B`, holds on the
+union of the X <= B(X), the greatest fixpoint (Knaster-Tarski), so it is
+iterated instead of enumerated.
 
 Each evaluation session keeps one plan record per node object, built on
 the node's first visit: the node, its sorted deps (its free props, plus
@@ -125,9 +129,11 @@ class Evaluator:
     for the node's free props), builds the memo key from the plan's deps
     and calls the plan's handler directly.  A node is memoised while at
     most `_MEMO_ARITY_CAP` of its deps are bound.  A quantifier tries only
-    the witnesses that its guard and its radius leave, or evaluates its
-    binder shape directly (see the module docstring).  `events` supplies
-    the ambient event model that event diamonds and nominals refer to.
+    the witnesses that its guard and its radius leave, world by world,
+    from one list per tuple of (guard, radius) pairs cached for the
+    session; a lone `exists` is a block of one, and the nu encoding is
+    iterated (see the module docstring).  `events` supplies the ambient
+    event model that event diamonds and nominals refer to.
 
     With `_pairs`, `model` is the parent session and the new session is
     its child over the listed (parent world index, event) pairs: the
@@ -188,6 +194,7 @@ class Evaluator:
         self._products: dict = {}
         self._relativised: dict = {}
         self._submasks: dict = {}
+        self._witness_lists: dict = {}
         self._hoods: dict = {}
 
     # -- mask plumbing -------------------------------------------------
@@ -229,14 +236,10 @@ class Evaluator:
                 f"{self._work.ticks - 1} subsets tried so far"
             )
 
-    def _submask_list(self, mask: int, radius: int | None = None) -> list[int]:
-        """The submasks of `mask` in ascending order; with a radius d, only
-        those that lie within N_d(w) for some world w."""
-        key = mask if radius is None else (mask, radius)
-        got = self._submasks.get(key)
-        if got is not None:
-            return got
-        if radius is None:
+    def _submask_list(self, mask: int) -> list[int]:
+        """The submasks of `mask` in ascending order."""
+        got = self._submasks.get(mask)
+        if got is None:
             got = []
             s = mask
             while True:
@@ -245,27 +248,29 @@ class Evaluator:
                     break
                 s = (s - 1) & mask
             got.reverse()
-        else:
-            parts = {hood & mask for hood in self._hood(radius)}
-            if mask in parts:  # one neighbourhood holds every submask
-                got = self._submask_list(mask)
-            elif sum(1 << part.bit_count() for part in parts) < 1 << mask.bit_count():
-                # fewer to collect from the parts than there are submasks;
-                # the empty witness is tried even on an empty domain, as in
-                # the flat enumeration, so the body is evaluated once
-                seen = {0}
-                for part in parts:
-                    s = part
-                    while s:
-                        seen.add(s)
-                        s = (s - 1) & part
-                got = sorted(seen)
-            else:  # cheaper to pick them out of all the submasks
-                got = [
-                    s for s in self._submask_list(mask)
-                    if any(s & part == s for part in parts)
-                ]
-        self._submasks[key] = got
+            self._submasks[mask] = got
+        return got
+
+    def _witnesses(self, members: tuple) -> list[tuple]:
+        """The witness tuples of binders with guard masks guard_i and radii
+        d_i, `members` listing the (guard_i, d_i): for each world w in turn,
+        each tuple of submasks of guard_i & N_{d_i}(w) (of guard_i when d_i
+        is None) that no earlier world listed.  Cutting each witness of a
+        tuple that holds at w down to its N_{d_i}(w) keeps it one.  The
+        all-empty tuple is listed even on an empty domain, so the body is
+        evaluated once."""
+        got = self._witness_lists.get(members)
+        if got is None:
+            per_member = [
+                [guard] * self.n if radius is None else [guard & h for h in self._hood(radius)]
+                for guard, radius in members
+            ]
+            # each world's tuple of parts guard_i & N_{d_i}(w), each once
+            parts = dict.fromkeys(zip(*per_member)) or [(0,) * len(members)]
+            got = list(dict.fromkeys(itertools.chain.from_iterable(
+                itertools.product(*map(self._submask_list, part)) for part in parts
+            )))
+            self._witness_lists[members] = got
         return got
 
     def _hood(self, radius: int) -> list[int]:
@@ -514,21 +519,13 @@ class Evaluator:
         bodies, radius, shape = self._scan(phi)
         if shape is not None:
             return shape[0](self, phi, env, shape[1])
-        result = 0
-        sub_env = dict(env)
-        for x in self._submask_list(self._guard(bodies, env), radius):
-            self._tick(phi)
-            sub_env[phi.var] = x
-            result |= self._eval(phi.body, sub_env)
-            if result == self.full:
-                break
-        return result
+        return self._eval_block(phi, env, ((phi.var,), ((bodies, radius),), phi.body))
 
     def _eval_forall(self, phi: ForallProp, env: dict) -> int:
         self._check_quantifier_domain()
         result = self.full
         sub_env = dict(env)
-        for x in self._submask_list(self.full, self._scan(phi)[1]):
+        for (x,) in self._witnesses(((self.full, self._scan(phi)[1]),)):
             self._tick(phi)
             sub_env[phi.var] = x
             result &= self._eval(phi.body, sub_env)
@@ -537,28 +534,23 @@ class Evaluator:
         return result
 
     def _eval_block(self, phi: ExistsProp, env: dict, block) -> int:
-        """For each world w, each tuple of witnesses within the members'
-        guards and N_{d_i}(w), once: cutting each witness of a tuple that
-        holds at w down to its N_{d_i}(w) keeps it one."""
+        """The block's witness tuples (`_witnesses`) within its members'
+        guards, one tick each, until the result is the whole domain."""
         names, members, body = block
-        parts = []
-        for bodies, radius in members:
-            guard = self._guard(bodies, env)
-            parts.append([guard & hood for hood in self._hood(radius)])
-        # the all-empty tuple is tried even on an empty domain
-        parts = dict.fromkeys(zip(*parts)) or [(0,) * len(names)]
+        key = tuple((self._guard(bodies, env), radius) for bodies, radius in members)
         sub_env = dict(env)
-        tried = set()
         result = 0
-        for part in parts:
-            for xs in itertools.product(*map(self._submask_list, part)):
-                if xs not in tried:
-                    tried.add(xs)
-                    self._tick(phi)
-                    sub_env.update(zip(names, xs))
-                    result |= self._eval(body, sub_env)
-                    if result == self.full:
-                        return result
+        # binding a lone binder's variable directly beats update(zip(...))
+        var = names[0] if len(names) == 1 else None
+        for xs in self._witnesses(key):
+            self._tick(phi)
+            if var is None:
+                sub_env.update(zip(names, xs))
+            else:
+                sub_env[var] = xs[0]
+            result |= self._eval(body, sub_env)
+            if result == self.full:
+                break
         return result
 
     def _eval_nu(self, phi: Nu | ExistsProp, env: dict, body: Formula | None = None) -> int:

@@ -290,6 +290,18 @@ class TestFuzzCommand:
     def test_bad_config_exit_2(self, capsys):
         assert run(["fuzz", "--cases", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "suites,message",
+        [
+            ("", "error: unknown suites: ['']"),
+            ("translation,translation", "error: repeated suites: ['translation']"),
+        ],
+    )
+    def test_bad_suites_exit_2(self, suites, message, capsys):
+        assert run(["fuzz", "--cases", "1", "--suites", suites]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+
 
 def _indent2(out: str) -> str:
     """What `json.dumps(..., indent=2)` prints for the JSON in `out`."""

@@ -376,6 +376,9 @@ class TestWorkCounters:
                 {"w0", "w1", "w2"},
                 (5, 53, 0, 0),
             ),
+            # forall, with a radius, and under an event diamond with a nominal
+            ("forall r. (<> r | [] ~r)", {"w0", "w1", "w2"}, (7, 34, 0, 0)),
+            ("<a1> (forall r. (j1 | <> r | [] ~r))", {"w0", "w2"}, (18, 107, 1, 0)),
         ],
     )
     def test_direct(self, text, ext, work):
@@ -480,14 +483,19 @@ class TestNeighbourhoodEnumeration:
                  "nominals": 50, "bisim_lift": 50, "degree": 50}
         quantified = set()
         shaped = {"_eval_block": 0, "_eval_nu": 0}
+        # `_eval_block` serves a lone binder too, as a block of one, and
+        # `_eval_nu` serves `nu` nodes too, while the encoding is an `exists`
+        is_shape = {
+            "_eval_block": lambda phi, env, block: len(block[0]) >= 2,
+            "_eval_nu": lambda phi, env, body=None: type(phi) is ExistsProp,
+        }
 
         def counted(mp):
-            # `_eval_nu` serves `nu` nodes too; the encoding is an `exists`
             for name in shaped:
                 method = getattr(Evaluator, name)
 
                 def counting(self, phi, *args, _name=name, _method=method):
-                    shaped[_name] += type(phi) is ExistsProp
+                    shaped[_name] += is_shape[_name](phi, *args)
                     return _method(self, phi, *args)
 
                 mp.setattr(Evaluator, name, counting)
