@@ -28,7 +28,8 @@ It also picks out the rewriter's two binder shapes (`_shape`).  A block
 jointly, not nested: world by world, each tuple of its members'
 witnesses within N_{d_i}(w) once.  A lone `exists` is a block of one,
 and `forall` tries the same witnesses with the whole domain as guard;
-each list is built once per session (`_witnesses`).
+each list is kept per session and grows, at most doubling, only when it
+is read past its end (`_witnesses`).
 `exists x. (x & U (x -> B))`, the encoding of `nu x. B`, holds on the
 union of the X <= B(X), the greatest fixpoint (Knaster-Tarski), so it is
 iterated instead of enumerated.
@@ -112,6 +113,15 @@ class EvalBudget:
             raise ValueError("max_total_subset_enumerations must be positive")
 
 
+def _submask_list(mask: int) -> list[int]:
+    """The submasks of `mask` in ascending order."""
+    got, s = [0], 0
+    while s != mask:
+        s = (s - mask) & mask
+        got.append(s)
+    return got
+
+
 class _Work:
     __slots__ = ("ticks",)
 
@@ -193,7 +203,6 @@ class Evaluator:
         self._scans: dict = {}
         self._products: dict = {}
         self._relativised: dict = {}
-        self._submasks: dict = {}
         self._witness_lists: dict = {}
         self._hoods: dict = {}
 
@@ -236,42 +245,60 @@ class Evaluator:
                 f"{self._work.ticks - 1} subsets tried so far"
             )
 
-    def _submask_list(self, mask: int) -> list[int]:
-        """The submasks of `mask` in ascending order."""
-        got = self._submasks.get(mask)
-        if got is None:
-            got = []
-            s = mask
-            while True:
-                got.append(s)
-                if s == 0:
-                    break
-                s = (s - 1) & mask
-            got.reverse()
-            self._submasks[mask] = got
-        return got
-
-    def _witnesses(self, members: tuple) -> list[tuple]:
+    def _witnesses(self, members: tuple):
         """The witness tuples of binders with guard masks guard_i and radii
         d_i, `members` listing the (guard_i, d_i): for each world w in turn,
         each tuple of submasks of guard_i & N_{d_i}(w) (of guard_i when d_i
         is None) that no earlier world listed.  Cutting each witness of a
-        tuple that holds at w down to its N_{d_i}(w) keeps it one.  The
-        all-empty tuple is listed even on an empty domain, so the body is
-        evaluated once."""
-        got = self._witness_lists.get(members)
-        if got is None:
-            per_member = [
-                [guard] * self.n if radius is None else [guard & h for h in self._hood(radius)]
-                for guard, radius in members
-            ]
-            # each world's tuple of parts guard_i & N_{d_i}(w), each once
-            parts = dict.fromkeys(zip(*per_member)) or [(0,) * len(members)]
-            got = list(dict.fromkeys(itertools.chain.from_iterable(
-                itertools.product(*map(self._submask_list, part)) for part in parts
-            )))
-            self._witness_lists[members] = got
-        return got
+        tuple that holds at w down to its N_{d_i}(w) keeps it one.  A lone
+        binder's witnesses are listed as masks, not 1-tuples.  The all-empty
+        tuple is listed even on an empty domain, so the body is evaluated
+        once.
+
+        The list is cached per session and yielded a stretch at a time.  It
+        grows, at most doubling, only when a caller reads past its end: a
+        block's list can hold 2^(k |guard|) tuples, so the subset budget and
+        an early exit must bound how much of it is built."""
+        entry = self._witness_lists.get(members)
+        if entry is None:
+            candidates = itertools.chain.from_iterable(self._witness_parts(members))
+            entry = self._witness_lists[members] = ([], [candidates, set()])
+        listed, growing = entry  # growing: the candidates left and `listed` as a set
+        i = 0
+        while i < len(listed) or growing:
+            if i == len(listed):
+                candidates, seen = growing
+                want = max(i, 256)  # at least 256, at most doubling the list
+                taken = list(itertools.islice(candidates, want))
+                # one part's tuples are distinct; another's may repeat them
+                new = list(itertools.filterfalse(seen.__contains__, dict.fromkeys(taken)))
+                seen.update(new)
+                if len(taken) < want:
+                    growing.clear()
+                listed.extend(new)
+            else:
+                # by index: a nested read of the same list may grow it meanwhile
+                j = len(listed)
+                yield itertools.islice(listed, i, j)
+                i = j
+
+    def _witness_parts(self, members: tuple):
+        """For each world w in turn, the tuples of submasks of its parts
+        guard_i & N_{d_i}(w), unless another world's parts hold them."""
+        per_member = [
+            [guard] * self.n if radius is None else [guard & h for h in self._hood(radius)]
+            for guard, radius in members
+        ]
+        missed = []  # the complement of each world's parts so far, packed
+        for part in dict.fromkeys(zip(*per_member)) or [(0,) * len(members)]:
+            packed = 0
+            for x in part:
+                packed = packed << self.n | x
+            # parts within those of a world already taken add no tuple
+            if 0 not in map(packed.__and__, missed):
+                missed.append(~packed)
+                pools = list(map(_submask_list, part))
+                yield itertools.product(*pools) if len(pools) > 1 else pools[0]
 
     def _hood(self, radius: int) -> list[int]:
         """N_radius(w) for each world w: the worlds reachable from w in at
@@ -525,12 +552,13 @@ class Evaluator:
         self._check_quantifier_domain()
         result = self.full
         sub_env = dict(env)
-        for (x,) in self._witnesses(((self.full, self._scan(phi)[1]),)):
-            self._tick(phi)
-            sub_env[phi.var] = x
-            result &= self._eval(phi.body, sub_env)
-            if result == 0:
-                break
+        for chunk in self._witnesses(((self.full, self._scan(phi)[1]),)):
+            for x in chunk:
+                self._tick(phi)
+                sub_env[phi.var] = x
+                result &= self._eval(phi.body, sub_env)
+                if result == 0:
+                    return result
         return result
 
     def _eval_block(self, phi: ExistsProp, env: dict, block) -> int:
@@ -542,15 +570,16 @@ class Evaluator:
         result = 0
         # binding a lone binder's variable directly beats update(zip(...))
         var = names[0] if len(names) == 1 else None
-        for xs in self._witnesses(key):
-            self._tick(phi)
-            if var is None:
-                sub_env.update(zip(names, xs))
-            else:
-                sub_env[var] = xs[0]
-            result |= self._eval(body, sub_env)
-            if result == self.full:
-                break
+        for chunk in self._witnesses(key):
+            for xs in chunk:
+                self._tick(phi)
+                if var is None:
+                    sub_env.update(zip(names, xs))
+                else:
+                    sub_env[var] = xs
+                result |= self._eval(body, sub_env)
+                if result == self.full:
+                    return result
         return result
 
     def _eval_nu(self, phi: Nu | ExistsProp, env: dict, body: Formula | None = None) -> int:
@@ -667,7 +696,7 @@ def gfp_oracle(model: KripkeModel, var: str, body: Formula, budget=None):
     ev._check_quantifier_domain()
     binder = Nu(var, body)
     total = 0
-    for x in ev._submask_list(ev.full):
+    for x in _submask_list(ev.full):
         ev._tick(binder)
         if x & ~ev._eval(body, {var: x}) == 0:
             total |= x

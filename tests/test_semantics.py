@@ -246,6 +246,28 @@ class TestErrors:
             "`nu p`: 5 subsets tried so far"
         )
 
+    def test_block_reads_its_witnesses_lazily(self):
+        # every neighbourhood is the whole domain, so the block's witness
+        # list holds 2^12 * 2^12 pairs; p = {w0} with a nonempty q makes the
+        # result full after 2^12 + 2 of them, and the list, grown by at most
+        # doubling, holds at most twice as many
+        worlds = tuple(f"w{i}" for i in range(12))
+        m = KripkeModel(worlds, frozenset((v, w) for v in worlds for w in worlds), {})
+        block = parse_formula("exists p. exists q. (<> p & <> q)")
+        ev = Evaluator(m)
+        assert ev.extension(block) == set(worlds)
+        assert ev._work.ticks == 2**12 + 2
+        [(listed, _)] = ev._witness_lists.values()
+        assert ev._work.ticks <= len(listed) <= 2 * ev._work.ticks
+        # under a small budget it stops as early, at 16 worlds too
+        worlds = tuple(f"w{i}" for i in range(16))
+        m = KripkeModel(worlds, frozenset((v, w) for v in worlds for w in worlds), {})
+        ev = Evaluator(m, budget=EvalBudget(max_total_subset_enumerations=1000))
+        with pytest.raises(BudgetExceeded):
+            ev.extension(block)
+        [(listed, _)] = ev._witness_lists.values()
+        assert 1001 <= len(listed) <= 2002
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             EvalBudget(max_worlds_for_quantifier=0)
