@@ -63,9 +63,6 @@ class KripkeModel:
     def successors(self, w: str) -> frozenset[str]:
         return frozenset(v for u, v in self.relation if u == w)
 
-    def props(self) -> tuple[str, ...]:
-        return tuple(sorted(self.valuation))
-
 
 def _edges(pairs, members, error_cls) -> frozenset[tuple[str, str]]:
     # checked in the order given, so the first bad edge is reported

@@ -8,7 +8,7 @@ are integer bitmasks, and a child session is built from its parent's
 masks, in index space, without naming a model.
 
 A quantifier does not always need every subset of the domain.  One
-static scan of each binder's body, cached per session, finds two things:
+static scan of each binder's body, cached for the session tree, finds:
 
 - the `U (p -> A)` guard conjuncts of an `exists`: subsets outside the
   extension of A falsify the guard outright, so only subsets of that
@@ -28,19 +28,17 @@ It also picks out the rewriter's two binder shapes (`_shape`).  A block
 jointly, not nested: world by world, each tuple of its members'
 witnesses within N_{d_i}(w) once.  A lone `exists` is a block of one,
 and `forall` tries the same witnesses with the whole domain as guard;
-each list is kept per session and grows, at most doubling, only when it
-is read past its end (`_witnesses`).
+each list is kept per session and grows from lazily built submasks, at
+most doubling, only when it is read past its end (`_witnesses`).
 `exists x. (x & U (x -> B))`, the encoding of `nu x. B`, holds on the
 union of the X <= B(X), the greatest fixpoint (Knaster-Tarski), so it is
 iterated instead of enumerated.
 
-Each evaluation session keeps one plan record per node object, built on
-the node's first visit: the node, its sorted deps (its free props, plus
-the precondition props when it holds an event diamond) and its handler,
-taken from the module's one `type -> _eval_<kind>` table.  Every
-subformula's extension is memoised under a flat key: the node's id when
-it has no deps, else `(id, value of each dep)`, with None for an unbound
-prop, so a prop bound to the empty set (mask 0) and an unbound one differ.
+A node's deps are its free props, sorted once in its facts, plus the
+precondition props when it holds an event diamond.  Every subformula's
+extension is memoised under a flat key: the node when it has no deps,
+else `(node, value of each dep)`, with None for an unbound prop, so a
+prop bound to the empty set (mask 0) and an unbound one differ.
 """
 
 from __future__ import annotations
@@ -75,10 +73,12 @@ from .syntax import (
     Nu,
     Or,
     Top,
+    _KIND_BIT,
     children,
     contains_node,
     free_props,
     is_positive_in,
+    nu_encoding,
 )
 
 DEFAULT_QUANTIFIER_WORLDS = 16
@@ -91,6 +91,7 @@ _MEMO_ARITY_CAP = 3
 # locality radius (an announcement: in its announced formula)
 _NONLOCAL = frozenset({Global, ExistsGlobal, Nu, Announce})
 _BINDER_WORDS = {ExistsProp: "exists", ForallProp: "forall", Nu: "nu"}
+_EVENT_BIT = _KIND_BIT[ActionDiamond]
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,22 @@ class EvalBudget:
             raise ValueError("max_total_subset_enumerations must be positive")
 
 
-def _submask_list(mask: int) -> list[int]:
-    """The submasks of `mask` in ascending order."""
-    got, s = [0], 0
+def _submasks(mask: int):
+    """The submasks of `mask` in ascending order, each built as it is read."""
+    s = 0
+    yield s
     while s != mask:
         s = (s - mask) & mask
-        got.append(s)
-    return got
+        yield s
+
+
+def _submask_tuples(parts: tuple):
+    """Each tuple of submasks of `parts`, in `itertools.product` order, built lazily."""
+    if len(parts) == 1:
+        return zip(_submasks(parts[0]))
+    return itertools.chain.from_iterable(
+        map((x,).__add__, _submask_tuples(parts[1:])) for x in _submasks(parts[0])
+    )
 
 
 class _Work:
@@ -132,13 +142,13 @@ class _Work:
 class Evaluator:
     """Evaluation session over one (tagged) model.
 
-    Holds the bitmask encoding, the per-node plan records and memo, and
-    the product / relativised child sessions, so repeated queries against
-    the same model share all intermediate work.  `_eval` looks up the
-    node's plan (building it on the first visit, the only time it asks
-    for the node's free props), builds the memo key from the plan's deps
-    and calls the plan's handler directly.  A node is memoised while at
-    most `_MEMO_ARITY_CAP` of its deps are bound.  A quantifier tries only
+    Holds the bitmask encoding, the memo and the product / relativised
+    child sessions, so repeated queries against the same model share all
+    intermediate work.  `_eval` keys the memo on the node and the values
+    of its deps, read from its facts (for a node holding an event
+    diamond, from a table the session tree shares), and calls the handler
+    of the node's kind.  A node is memoised while at most
+    `_MEMO_ARITY_CAP` of its deps are bound.  A quantifier tries only
     the witnesses that its guard and its radius leave, world by world,
     from one list per tuple of (guard, radius) pairs cached for the
     session; a lone `exists` is a block of one, and the nu encoding is
@@ -163,6 +173,8 @@ class Evaluator:
             self._pre_props: frozenset[str] = frozenset()
             for f in events.pre.values() if events is not None else ():
                 self._pre_props |= free_props(f)
+            # the session tree shares these: they depend on nodes and precondition props
+            self._scans, self._event_deps = {}, {}
             self.worlds = list(self.model.worlds)
             self.index = {w: i for i, w in enumerate(self.worlds)}
             self.succ = [0] * len(self.worlds)
@@ -176,6 +188,7 @@ class Evaluator:
             parent = model
             self.events, self.budget, self._work = parent.events, parent.budget, parent._work
             self._pre_props = parent._pre_props
+            self._scans, self._event_deps = parent._scans, parent._event_deps
             self._parent_index: list[int] = [i for i, _ in _pairs]
             self.worlds = [
                 parent.worlds[i] if e is None else pair_world(parent.worlds[i], e)
@@ -199,8 +212,6 @@ class Evaluator:
         self.n = len(self.worlds)
         self.full = (1 << self.n) - 1
         self._memo: dict = {}
-        self._plans: dict = {}
-        self._scans: dict = {}
         self._products: dict = {}
         self._relativised: dict = {}
         self._witness_lists: dict = {}
@@ -297,8 +308,7 @@ class Evaluator:
             # parts within those of a world already taken add no tuple
             if 0 not in map(packed.__and__, missed):
                 missed.append(~packed)
-                pools = list(map(_submask_list, part))
-                yield itertools.product(*pools) if len(pools) > 1 else pools[0]
+                yield _submask_tuples(part) if len(part) > 1 else _submasks(part[0])
 
     def _hood(self, radius: int) -> list[int]:
         """N_radius(w) for each world w: the worlds reachable from w in at
@@ -334,43 +344,34 @@ class Evaluator:
 
     # -- the evaluator ---------------------------------------------------
 
-    def _plan(self, phi: Formula) -> tuple:
-        try:
-            handler = _HANDLERS[type(phi)]
-        except KeyError:
-            raise TypeError(f"not a formula node: {phi!r}") from None
-        deps = free_props(phi)
-        if contains_node(phi, ActionDiamond):
-            # the product domain also varies with precondition props
-            deps |= self._pre_props
-        deps = tuple(sorted(deps))
-        # the record holds the node, which keeps its id (the memo key's
-        # first element) from being reused while the session lives
-        plan = self._plans[id(phi)] = (phi, deps, handler, len(deps))
-        return plan
-
     def _eval(self, phi: Formula, env: dict) -> int:
-        nid = id(phi)
-        plan = self._plans.get(nid)
-        if plan is None:
-            plan = self._plan(phi)
-        _, deps, handler, arity = plan
-        # (id, value of each dep), None where unbound; spelled out up to
+        try:
+            facts = phi._facts
+        except AttributeError:
+            raise TypeError(f"not a formula node: {phi!r}") from None
+        deps = facts.deps
+        if facts.kinds & _EVENT_BIT:
+            # the product domain also varies with precondition props
+            deps = self._event_deps.get(phi)
+            if deps is None:
+                deps = self._event_deps[phi] = tuple(sorted(facts.free | self._pre_props))
+        arity = len(deps)
+        # (node, value of each dep), None where unbound; spelled out up to
         # three deps, which covers nearly every node and beats map()
         if arity == 0:
-            key = nid
+            key = phi
         elif arity == 1:
-            key = (nid, env.get(deps[0]))
+            key = (phi, env.get(deps[0]))
         elif arity == 2:
-            key = (nid, env.get(deps[0]), env.get(deps[1]))
+            key = (phi, env.get(deps[0]), env.get(deps[1]))
         elif arity == 3:
-            key = (nid, env.get(deps[0]), env.get(deps[1]), env.get(deps[2]))
+            key = (phi, env.get(deps[0]), env.get(deps[1]), env.get(deps[2]))
         else:
-            key = (nid, *map(env.get, deps))
+            key = (phi, *map(env.get, deps))
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        result = handler(self, phi, env)
+        result = _HANDLERS[type(phi)](self, phi, env)
         # the cap counts bound deps only
         if arity <= _MEMO_ARITY_CAP or arity - key.count(None) <= _MEMO_ARITY_CAP:
             self._memo[key] = result
@@ -452,9 +453,9 @@ class Evaluator:
         every subset of a set it holds of, so cutting a witness down to
         N_d(w) keeps it one.
         """
-        got = self._scans.get(id(phi))
+        got = self._scans.get(phi)
         if got is not None:
-            return got[1:]
+            return got
         var = phi.var
         bodies: list[Formula] = []
         radius = 0
@@ -504,22 +505,17 @@ class Evaluator:
                 for part in children(f):
                     stack.append((part, depth, None))
         shape = self._shape(phi, bodies, radius) if type(phi) is ExistsProp else None
-        self._scans[id(phi)] = (phi, bodies, radius, shape)
-        return bodies, radius, shape
+        return self._scans.setdefault(phi, (bodies, radius, shape))
 
     def _shape(self, phi: ExistsProp, bodies, radius):
         """(handler, argument) of `phi`'s fast path, or None: the nu encoding
         with B positive in x and free of dynamic operators, or the head of a
         block whose members all have a radius."""
         var, body = phi.var, phi.body
-        if type(body) is And and type(body.right) is Global and type(body.right.body) is Implies:
-            rhs = body.right.body.right
-            if (
-                body is And(Atom(var), Global(Implies(Atom(var), rhs)))
-                and is_positive_in(rhs, var)
-                and not contains_node(rhs, (ActionDiamond, Announce))
-            ):
-                return Evaluator._eval_nu, rhs
+        match body:
+            case And(right=Global(body=Implies(right=rhs))) if phi is nu_encoding(var, rhs):
+                if is_positive_in(rhs, var) and not contains_node(rhs, (ActionDiamond, Announce)):
+                    return Evaluator._eval_nu, rhs
         names, members = [var], [(bodies, radius)]
         # the chain ends at a repeated variable or at a binder whose body
         # ignores its variable (nested, one memo entry serves every witness)
@@ -696,7 +692,7 @@ def gfp_oracle(model: KripkeModel, var: str, body: Formula, budget=None):
     ev._check_quantifier_domain()
     binder = Nu(var, body)
     total = 0
-    for x in _submask_list(ev.full):
+    for x in _submasks(ev.full):
         ev._tick(binder)
         if x & ~ev._eval(body, {var: x}) == 0:
             total |= x

@@ -15,11 +15,13 @@ object (see `Formula`).  The whole-subtree queries (`free_props`,
 tree.  A node's children always exist before it, so the constructor
 builds the node's facts record from its children's records when it
 creates the node: facts are built once per distinct subterm and every
-query is O(1).  One table, `_CHILD_FIELDS`, names each node class's child
-fields; `children`, `rebuild` and the constructor read it.  The walks that
-remain (positivity, nominal scoping) skip subtrees whose record shows
-there is nothing to find, and `substitute` and `all_props` visit each
-distinct subterm once.
+query is O(1); they also hold the free props sorted, the evaluator's
+memo deps, shared with a child whose free props are the same.  One
+table, `_CHILD_FIELDS`, names each node class's child fields; `children`,
+`rebuild` and the constructor read it.  The walks that remain
+(positivity, nominal scoping) skip subtrees whose record shows there is
+nothing to find, and `substitute` and `all_props` visit each distinct
+subterm once.
 """
 
 from __future__ import annotations
@@ -75,19 +77,23 @@ class Formula:
         for name, value in zip(cls.__match_args__, args):
             _set(node, name, value)
         size, binders, kinds = 1, 0, _KIND_BIT[cls]
-        free = _NO_PROPS
+        free, deps = _NO_PROPS, ()
         for name in _CHILD_FIELDS[cls]:
             part = getattr(node, name)._facts
             size += part.size
             binders += part.binders
             kinds |= part.kinds
-            free = free | part.free if free else part.free
+            if free <= part.free:  # a child's set that holds the rest lends its tuple
+                free, deps = part.free, part.deps
+            elif not part.free <= free:
+                free, deps = free | part.free, None
         if cls is Atom:
-            free = frozenset(args)
+            free, deps = frozenset(args), args
         elif cls in _BINDERS:
-            free = free - {args[0]}
             binders += 1
-        _set(node, "_facts", _Facts(free, size, binders, kinds))
+            if args[0] in free:
+                free, deps = free - {args[0]}, None
+        _set(node, "_facts", _Facts(free, deps or tuple(sorted(free)), size, binders, kinds))
         nodes[args] = _ref(node, partial(_forget, nodes, args))
         return node
 
@@ -246,6 +252,7 @@ class _Facts(NamedTuple):
     """Facts about a whole subtree, kept on its root node."""
 
     free: frozenset[str]  # free propositions
+    deps: tuple[str, ...]  # the same, sorted
     size: int  # node count
     binders: int  # ExistsProp, ForallProp and Nu nodes
     kinds: int  # union of the `_KIND_BIT` of every node
@@ -304,6 +311,11 @@ def disj(parts) -> Formula:
     for p in reversed(parts[:-1]):
         out = Or(p, out)
     return out
+
+
+def nu_encoding(var: str, body: Formula) -> Formula:
+    """`exists var. (var & U (var -> body))`, the encoding of `nu var. body`."""
+    return ExistsProp(var, And(Atom(var), Global(Implies(Atom(var), body))))
 
 
 @cache

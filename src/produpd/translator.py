@@ -67,6 +67,7 @@ from .syntax import (
     formula_size,
     free_props,
     fresh_props,
+    nu_encoding,
     quantifier_count,
     rebuild,
     substitute,
@@ -401,9 +402,7 @@ def eliminate_all(a: EventModel, phi: Formula, *, simplify: bool = False) -> Tra
         if isinstance(f, Nu):
             body = rec(f.body)
             steps.append(TranslationStep("nu-encode", print_formula(f)))
-            return ExistsProp(
-                f.var, And(Atom(f.var), Global(Implies(Atom(f.var), body)))
-            )
+            return nu_encoding(f.var, body)
         if isinstance(f, Announce):
             announced = rec(f.announced)
             body = rec(f.body)

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -268,6 +270,44 @@ class TestErrors:
         [(listed, _)] = ev._witness_lists.values()
         assert 1001 <= len(listed) <= 2002
 
+    @pytest.mark.parametrize(
+        "n,edges,text",
+        [
+            # no radius under U: one part, the whole domain, for every world
+            (22, False, "exists r. U r"),
+            # a block whose members' neighbourhoods are the whole domain
+            (20, True, "exists r. exists s. (<> (r & s & ~r))"),
+        ],
+    )
+    def test_budget_bounds_a_witness_pool(self, n, edges, text):
+        # a part of n worlds has 2^n submasks, which are built only as
+        # far as the 1,000 subsets of the budget read them
+        worlds = tuple(f"w{i}" for i in range(n))
+        relation = frozenset((v, w) for v in worlds for w in worlds) if edges else frozenset()
+        m = KripkeModel(worlds, relation, {})
+        budget = EvalBudget(max_worlds_for_quantifier=n, max_total_subset_enumerations=1000)
+        phi = parse_formula(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as got:
+                Evaluator(m, budget=budget).extension(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == (
+            "subset enumeration budget exhausted (1000 subsets) while enumerating "
+            "`exists r`: 1000 subsets tried so far"
+        )
+        assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("obj", ["p", None, 3, (Atom("p"),)])
+    def test_non_node_is_a_type_error(self, obj):
+        ev = Evaluator(two_chain())
+        with pytest.raises(TypeError, match="not a formula node"):
+            ev.extension(obj)
+        with pytest.raises(TypeError, match="not a formula node"):
+            ev.extension_mask(obj)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             EvalBudget(max_worlds_for_quantifier=0)
@@ -349,10 +389,24 @@ class TestMemoKey:
             assert ev.extension(phi) == want
 
 
+    def test_nodes_built_and_dropped(self):
+        # memo keys start with the node, so a node built after another was
+        # dropped cannot meet the dropped node's entries, even where it
+        # takes over its address
+        cfg = FuzzConfig(seed=41, cases=1)
+        m = random_model(cfg, 0)
+        ev = Evaluator(m)
+        for i in range(60):
+            phi = random_formula(cfg, i, LanguageTag.BASE_MSO)
+            assert ev.extension(phi) == Evaluator(m).extension(phi)
+            del phi
+            gc.collect()
+
+
 class TestWorkCounters:
     """Work done by fixed small evaluations, pinned: subsets enumerated,
     memo entries over the session tree, product and relativised sessions.
-    Equal subterms are one node, so they share plans and memo entries."""
+    Equal subterms are one node, so they share memo entries."""
 
     @staticmethod
     def counters(ev):

@@ -52,6 +52,7 @@ from produpd.syntax import (
     children,
     contains_node,
     is_positive_in,
+    nu_encoding,
     rebuild,
     replace_subformula,
     subformula_at,
@@ -226,6 +227,10 @@ class TestTreeUtilities:
     def test_size(self):
         assert formula_size(And(p, Box(q))) == 4
 
+    def test_nu_encoding(self):
+        body = And(q, Box(Atom("x")))
+        assert nu_encoding("x", body) is parse_formula("exists x. (x & U (x -> (q & [] x)))")
+
 
 # -- the cached facts against their recursive definitions ------------------
 
@@ -304,6 +309,7 @@ def assert_facts_agree(phi):
         seen.add(id(f))
         stack.extend(children(f))
         assert free_props(f) == ref_free_props(f)
+        assert f._facts.deps == tuple(sorted(ref_free_props(f)))
         assert formula_size(f) == ref_formula_size(f)
         assert _quantifiers_or_error(quantifier_count, f) == _quantifiers_or_error(
             ref_quantifier_count, f
@@ -354,6 +360,15 @@ class TestCachedFacts:
         phi = And(shared, Box(shared))
         assert formula_size(phi) == 2 * formula_size(shared) + 2 == 10
         assert quantifier_count(phi) == 2
+
+    def test_deps_reuse_a_child_tuple(self):
+        pq = And(q, p)
+        assert Atom("p")._facts.deps == ("p",)
+        assert pq._facts.deps == ("p", "q")
+        # a node whose free props are a child's keeps that child's tuple
+        for f in (Box(pq), And(p, pq), And(pq, q), ExistsProp("r", pq), Announce(p, pq)):
+            assert f._facts.deps is pq._facts.deps
+        assert ExistsProp("p", p)._facts.deps == () == TOP._facts.deps
 
     def test_pickle_round_trip(self):
         for phi in harness_formulas(3):
