@@ -280,7 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--event", required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--simplify", action="store_true", help="fold boolean constants")
+    p.add_argument(
+        "--simplify",
+        action="store_true",
+        help="fold the boolean constants inside copied preconditions and announced formulas",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_translate)
 

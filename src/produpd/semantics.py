@@ -10,9 +10,9 @@ masks, in index space, without naming a model.
 A quantifier does not always need every subset of the domain.  One
 static scan of each binder's body, cached for the session tree, finds:
 
-- the `U (p -> A)` guard conjuncts of an `exists`: subsets outside the
-  extension of A falsify the guard outright, so only subsets of that
-  extension are tried;
+- the `U (p -> A)` guard conjuncts of an `exists` (`U ~p` is one with A
+  false): subsets outside the extension of A falsify the guard outright,
+  so only subsets of that extension are tried;
 - the binder's locality radius d, the deepest box or diamond nesting
   above a free occurrence of its variable.  The body's truth at a world w
   then depends on the variable only within N_d(w), the worlds reachable
@@ -27,7 +27,10 @@ It also picks out the rewriter's two binder shapes (`_shape`).  A block
 `exists f0. exists f1. ...`, one fresh prop per event, is enumerated
 jointly, not nested: world by world, each tuple of its members'
 witnesses within N_{d_i}(w) once.  A lone `exists` is a block of one,
-and `forall` tries the same witnesses with the whole domain as guard;
+and `forall` tries the same witnesses with the whole domain as guard
+(a quantifier whose body does not depend on its variable is its body:
+the variable is not free there, nor a precondition prop under an event
+diamond);
 each list is kept per session and grows from lazily built submasks, at
 most doubling, only when it is read past its end (`_witnesses`).
 `exists x. (x & U (x -> B))`, the encoding of `nu x. B`, holds on the
@@ -55,6 +58,7 @@ from .errors import (
 )
 from .models import EventModel, KripkeModel, as_tagged, pair_world
 from .syntax import (
+    BOTTOM,
     ActionDiamond,
     And,
     Announce,
@@ -438,7 +442,8 @@ class Evaluator:
 
     def _scan(self, phi: ExistsProp | ForallProp) -> tuple:
         """The binder's guard bodies, its locality radius (None when it has
-        none; see the module docstring) and `_shape`, from one walk.
+        none; see the module docstring) and its fast path, from one walk:
+        `_eval_vacuous` when its body does not depend on var, else `_shape`.
 
         Guards (`exists` only) are found through conjunctions and through
         intermediate `exists` of other variables: a guard conjunct that
@@ -448,8 +453,8 @@ class Evaluator:
         Under U, E, nu or in an announced formula, truth at a world can
         depend on var at any distance.  So can an event diamond anywhere
         in the body when var is a precondition prop, since the product
-        depends on it.  A U (var -> A) conjunct where guards are
-        looked for, with var not free in A, is no occurrence: it holds of
+        depends on it.  A U (var -> A) conjunct (or U ~var) where guards
+        are looked for, with var not free in A, is no occurrence: it holds of
         every subset of a set it holds of, so cutting a witness down to
         N_d(w) keeps it one.
         """
@@ -479,16 +484,14 @@ class Evaluator:
                 if cls is ExistsProp:
                     stack.append((f.body, depth, shadowed | {f.var}))
                     continue
-                if (
-                    cls is Global
-                    and type(f.body) is Implies
-                    and type(f.body.left) is Atom
-                    and f.body.left.name == var
-                    and var not in f.body.right._facts.free
-                ):
-                    if not f.body.right._facts.free & shadowed:
-                        bodies.append(f.body.right)
-                    continue
+                if cls is Global and type(f.body) in (Implies, Not):
+                    # U (var -> A), or U ~var, which is U (var -> false)
+                    g = f.body
+                    head, rhs = (g.left, g.right) if type(g) is Implies else (g.body, BOTTOM)
+                    if type(head) is Atom and head.name == var and var not in rhs._facts.free:
+                        if not rhs._facts.free & shadowed:
+                            bodies.append(rhs)
+                        continue
             if radius is None or deepest.get(f, -1) >= depth:
                 continue  # only guards are left to find, or nothing new
             deepest[f] = depth
@@ -504,7 +507,14 @@ class Evaluator:
             else:
                 for part in children(f):
                     stack.append((part, depth, None))
-        shape = self._shape(phi, bodies, radius) if type(phi) is ExistsProp else None
+        # with var not free the walk reads nothing, so no radius there
+        # means a precondition prop that an event diamond's product reads
+        if var not in phi.body._facts.free and radius is not None:
+            shape = Evaluator._eval_vacuous, None
+        elif type(phi) is ExistsProp:
+            shape = self._shape(phi, bodies, radius)
+        else:
+            shape = None
         return self._scans.setdefault(phi, (bodies, radius, shape))
 
     def _shape(self, phi: ExistsProp, bodies, radius):
@@ -546,9 +556,12 @@ class Evaluator:
 
     def _eval_forall(self, phi: ForallProp, env: dict) -> int:
         self._check_quantifier_domain()
+        _, radius, shape = self._scan(phi)
+        if shape is not None:
+            return shape[0](self, phi, env, shape[1])
         result = self.full
         sub_env = dict(env)
-        for chunk in self._witnesses(((self.full, self._scan(phi)[1]),)):
+        for chunk in self._witnesses(((self.full, radius),)):
             for x in chunk:
                 self._tick(phi)
                 sub_env[phi.var] = x
@@ -556,6 +569,9 @@ class Evaluator:
                 if result == 0:
                     return result
         return result
+
+    def _eval_vacuous(self, phi: ExistsProp | ForallProp, env: dict, _) -> int:
+        return self._eval(phi.body, env)
 
     def _eval_block(self, phi: ExistsProp, env: dict, block) -> int:
         """The block's witness tuples (`_witnesses`) within its members'

@@ -291,28 +291,6 @@ def rebuild(phi: Formula, parts: tuple[Formula, ...]) -> Formula:
     return type(phi)(*[getattr(phi, name) for name in fixed], *parts)
 
 
-def conj(parts) -> Formula:
-    """Right-nested conjunction; the empty conjunction is the true constant."""
-    parts = list(parts)
-    if not parts:
-        return TOP
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
-
-
-def disj(parts) -> Formula:
-    """Right-nested disjunction; the empty disjunction is the false constant."""
-    parts = list(parts)
-    if not parts:
-        return BOTTOM
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
-
-
 def nu_encoding(var: str, body: Formula) -> Formula:
     """`exists var. (var & U (var -> body))`, the encoding of `nu var. body`."""
     return ExistsProp(var, And(Atom(var), Global(Implies(Atom(var), body))))

@@ -24,6 +24,18 @@ subterms.  Nodes are hash-consed (see `syntax`), and within one call each
 repeat returns the memoised result and replays the span of the steps
 trace that the first rewrite recorded, so output and trace are those of
 the unshared tree while the work follows the shared graph.
+
+Every output node is built through `build`, which folds boolean
+constants as the rules produce them: a `true` precondition, a
+mismatched nominal's `false` and what they decide leave nothing behind,
+so the evaluator spends no memo entry or call on them, and a fresh
+proposition read only by a dead branch takes no locality radius from
+it.  A fold that would skip an operand able to raise (a binder, nominal,
+event diamond or announcement) is not made.  Preconditions and
+announced formulas are copied verbatim, and the guards `U (f -> pre)`
+stay unfolded, since the evaluator reads them as guards; a guard whose
+precondition is `true` is left out, and a binder whose proposition no
+longer occurs is not emitted.
 """
 
 from __future__ import annotations
@@ -39,6 +51,8 @@ from .errors import (
 from .models import EventModel
 from .parser import print_dynamic, print_formula
 from .syntax import (
+    BOTTOM,
+    TOP,
     ActionDiamond,
     And,
     Announce,
@@ -61,9 +75,7 @@ from .syntax import (
     all_props,
     children,
     classify,
-    conj,
     contains_node,
-    disj,
     formula_size,
     free_props,
     fresh_props,
@@ -133,46 +145,22 @@ def expand_foralls(phi: Formula) -> Formula:
 
 
 def fold_constants(phi: Formula) -> Formula:
-    """Boolean constant folding, nothing else."""
+    """Boolean constant folding, nothing else: every node rebuilt through
+    `build`.  The rewriters already build their output that way, so this
+    folds only the constants that they copy verbatim: in preconditions,
+    announced formulas, static parts of the input and `U (f -> false)`
+    guards."""
     done: dict[Formula, Formula] = {}
 
     def go(f: Formula) -> Formula:
         out = done.get(f)
         if out is None:
-            out = done[f] = _fold(rebuild(f, tuple(go(c) for c in children(f))))
+            parts = tuple(go(c) for c in children(f))
+            cls = type(f)
+            out = done[f] = build(cls, *parts) if cls in _BOOLEAN else rebuild(f, parts)
         return out
 
     return go(phi)
-
-
-def _fold(out: Formula) -> Formula:
-    if isinstance(out, Not):
-        if isinstance(out.body, Top):
-            return Bottom()
-        if isinstance(out.body, Bottom):
-            return Top()
-    elif isinstance(out, And):
-        if isinstance(out.left, Bottom) or isinstance(out.right, Bottom):
-            return Bottom()
-        if isinstance(out.left, Top):
-            return out.right
-        if isinstance(out.right, Top):
-            return out.left
-    elif isinstance(out, Or):
-        if isinstance(out.left, Top) or isinstance(out.right, Top):
-            return Top()
-        if isinstance(out.left, Bottom):
-            return out.right
-        if isinstance(out.right, Bottom):
-            return out.left
-    elif isinstance(out, Implies):
-        if isinstance(out.left, Bottom) or isinstance(out.right, Top):
-            return Top()
-        if isinstance(out.left, Top):
-            return out.right
-        if isinstance(out.right, Bottom):
-            return Not(out.left)
-    return out
 
 
 # The reduction clause of each connective, read by both rewriters: the
@@ -192,23 +180,76 @@ _CONNECTIVES = {
     ExistsGlobal: ("somewhere", True, "every"),
 }
 _UNIVERSAL = (Box, Global)
+_BOOLEAN = (Not, And, Or, Implies)
+# for `&` and `|`: the constant that leaves the other operand as it is, and
+# the one that decides the node
+_UNIT_ZERO = {And: (TOP, BOTTOM), Or: (BOTTOM, TOP)}
+# the nodes whose evaluation can raise: a binder can exhaust its budget, a
+# nominal, event diamond or announcement can lack an event model
+_RAISING = (ExistsProp, ForallProp, Nu, Nominal, ActionDiamond, Announce)
+
+
+def build(cls, *parts) -> Formula:
+    """`cls(*parts)` with its boolean constants folded.
+
+    `~true` and `~false` become constants; `true & X`, `X & true`,
+    `X | false`, `false | X` and `true -> X` become X, and `X -> false`
+    becomes `~X`.  `false & X` is false and `true | X` true: the evaluator
+    never reads X there.  `X & false`, `X | true`, `X -> true` and
+    `false -> X` fold only when X can raise nothing, so that no
+    evaluation loses an exception it raises unfolded.
+    """
+    if cls is Not:
+        if parts[0] is TOP:
+            return BOTTOM
+        if parts[0] is BOTTOM:
+            return TOP
+    elif cls is Implies:
+        left, right = parts
+        if left is TOP:
+            return right
+        if right is BOTTOM:
+            return build(Not, left)
+        if (right is TOP and not contains_node(left, _RAISING)) or (
+            left is BOTTOM and not contains_node(right, _RAISING)
+        ):
+            return TOP
+    elif cls in _UNIT_ZERO:
+        unit, zero = _UNIT_ZERO[cls]
+        left, right = parts
+        if left is unit:
+            return right
+        if right is unit:
+            return left
+        if left is zero or (right is zero and not contains_node(left, _RAISING)):
+            return zero
+    return cls(*parts)
+
+
+def _join(cls, parts) -> Formula:
+    """Right-nested `&` or `|` of `parts` through `build`; an empty join is
+    the unit."""
+    out = _UNIT_ZERO[cls][0]
+    for part in reversed(parts):
+        out = build(cls, part, out)
+    return out
 
 
 def _connect(psi: Formula, pre: Formula, parts: list) -> Formula:
     """`psi`'s connective over its rewritten parts by its `_CONNECTIVES`
-    clause, under precondition `pre`.  A modality's parts are (precondition,
-    rewritten body) pairs, one per event: a universal one guards each body
-    with its precondition and joins them with `conj`, an existential one
-    joins them with `disj`."""
+    clause, under precondition `pre`, built through `build`.  A
+    modality's parts are (precondition, rewritten body) pairs, one per
+    event: a universal one guards each body with its precondition and
+    joins them with `&`, an existential one joins them with `|`."""
     cls = type(psi)
     _, guarded, scope = _CONNECTIVES[cls]
     if scope is None:
-        out = cls(*parts)
+        out = build(cls, *parts)
     elif cls in _UNIVERSAL:
-        out = conj([cls(Implies(pre_b, body)) for pre_b, body in parts])
+        out = _join(And, [cls(build(Implies, pre_b, body)) for pre_b, body in parts])
     else:
-        out = disj([cls(body) for _, body in parts])
-    return And(pre, out) if guarded else out
+        out = _join(Or, [cls(body) for _, body in parts])
+    return build(And, pre, out) if guarded else out
 
 
 def _measure(phi: Formula) -> tuple[int, int]:
@@ -269,7 +310,23 @@ def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
     start = None if steps is None else len(steps)
     pre = a.pre[alpha]
     clause = _CONNECTIVES.get(type(psi))
-    if clause is not None:
+    if (
+        type(psi) is And
+        and isinstance(psi.left, (Atom, Top, Bottom))
+        and type(psi.right) is Nominal
+        and psi.right.index != a.index_of(alpha)
+        and not contains_node(pre, _RAISING)
+    ):
+        # `(pre & f) & false`, which `build` folds to false, as the
+        # quantifier clause's `f & j` gives under another event: the steps
+        # of both operands are recorded, and `pre & f` is never built
+        _record(steps, "conjunction", alpha, psi)
+        for c, rule in ((psi.left, "atom"), (psi.right, "nominal-mismatch")):
+            if log is not None:
+                log.append((m, _measure(c)))
+            _record(steps, rule, alpha, c)
+        out = BOTTOM
+    elif clause is not None:
         rule, _, scope = clause
         _record(steps, rule, alpha, psi)
         parts = []
@@ -284,30 +341,33 @@ def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
         out = _connect(psi, pre, parts)
     elif isinstance(psi, (Atom, Top, Bottom)):
         _record(steps, "atom", alpha, psi)
-        out = And(pre, psi)
+        out = build(And, pre, psi)
     elif isinstance(psi, Nominal):
         if psi.index == a.index_of(alpha):
             _record(steps, "nominal-match", alpha, psi)
             out = pre
         else:
             _record(steps, "nominal-mismatch", alpha, psi)
-            out = Bottom()
+            out = BOTTOM
     elif isinstance(psi, ExistsProp):
         _record(steps, "quantifier", alpha, psi)
-        n = len(a.events)
         avoid = set(all_props(psi))
         for f in a.pre.values():
             avoid |= all_props(f)
-        names = fresh_props(n, avoid)
-        tagged = disj([And(Atom(names[i]), Nominal(i)) for i in range(n)])
+        names = fresh_props(len(a.events), avoid)
+        tagged = _join(Or, [And(Atom(f), Nominal(i)) for i, f in enumerate(names)])
         body = substitute(psi.body, psi.var, tagged)
+        # `U (f -> pre)` stays unfolded, since the evaluator reads it as a
+        # guard; with `pre` true it says nothing and is left out
         guards = [
-            Global(Implies(Atom(names[i]), a.pre[a.events[i]])) for i in range(n)
+            Global(Implies(Atom(f), a.pre[e]))
+            for f, e in zip(names, a.events)
+            if a.pre[e] is not TOP
         ]
-        inner = _tr_event(a, alpha, body, steps, log, m, memo)
-        out = conj(guards + [inner])
+        out = _join(And, guards + [_tr_event(a, alpha, body, steps, log, m, memo)])
         for name in reversed(names):
-            out = ExistsProp(name, out)
+            if name in out._facts.free:  # else folding dropped every occurrence
+                out = ExistsProp(name, out)
     else:
         raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
     memo[key] = (out, start, None if steps is None else len(steps))
@@ -362,7 +422,7 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
         out = _connect(psi, a, parts)
     elif isinstance(psi, (Atom, Top, Bottom, Nominal)):
         _record(steps, "ann-atom", a, psi)
-        out = And(a, psi)
+        out = build(And, a, psi)
     elif isinstance(psi, ExistsProp):
         var, body = psi.var, psi.body
         if var in free_props(a):
@@ -371,9 +431,9 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
             _record(steps, "alpha-rename", a, psi)
             var = fresh
         _record(steps, "ann-quantifier", a, psi)
-        out = ExistsProp(
-            var, And(Global(Implies(Atom(var), a)), _tr_ann(a, body, steps, memo))
-        )
+        out = build(And, Global(Implies(Atom(var), a)), _tr_ann(a, body, steps, memo))
+        if var in out._facts.free:  # else folding dropped the guard with the body
+            out = ExistsProp(var, out)
     elif isinstance(psi, Announce):
         # rewrite the inner announcement first; the equivalence it produces
         # holds in every model, the relativised one included

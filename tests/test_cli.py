@@ -166,10 +166,7 @@ class TestTranslateCommand:
             == 0
         )
         out = capsys.readouterr().out.strip()
-        assert out == (
-            "exists _f0. exists _f1. (U (_f0 -> q) & (U (_f1 -> true) & "
-            "(((q & _f0) & q) | ((q & _f1) & false))))"
-        )
+        assert out == "exists _f0. (U (_f0 -> q) & ((q & _f0) & q))"
 
     def test_json_includes_sanity_check(self, events_file, capsys):
         assert (
@@ -392,6 +389,20 @@ class TestDeepNesting:
         deep.write_text("[] " * 400 + "p")
         assert run(["eval", "--model", str(model), "--formula", f"@{deep}"]) == 0
         assert capsys.readouterr().out == "w0 w1\n"
+
+    def test_translate_400_boxes(self, tmp_path, capsys):
+        # with precondition true the rewrite folds to its input, one node
+        # per level, so the rewrite and the evaluation of its sanity check
+        # go as deep as `eval`; unfolded, `true & [] (true -> ...)` took
+        # three nodes per level and overflowed above about 165
+        events = tmp_path / "one.json"
+        events.write_text(json.dumps({"events": ["a0"], "rel": [["a0", "a0"]],
+                                      "pre": {"a0": "true"}}))
+        deep = tmp_path / "deep.txt"
+        deep.write_text("[] " * 400 + "p")
+        argv = ["translate", "--events", str(events), "--event", "a0", "--formula", f"@{deep}"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "[] " * 400 + "p\n"
 
 
 class TestNamesEndingInNewline:

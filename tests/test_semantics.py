@@ -31,6 +31,7 @@ from produpd import (
     TaggedModel,
     UnknownEvent,
     announcement_event_model,
+    eliminate_all,
     extension,
     gfp_oracle,
     holds,
@@ -52,6 +53,7 @@ from produpd.harness import (
 from produpd.models import pair_world
 from produpd.semantics import Evaluator
 from produpd.syntax import LanguageTag, contains_node
+from test_rewrite_outcomes import family_cases
 
 p, q = Atom("p"), Atom("q")
 
@@ -219,6 +221,10 @@ class TestErrors:
         budget = EvalBudget(max_worlds_for_quantifier=4)
         with pytest.raises(BudgetExceeded):
             extension(m, ExistsProp("p", p), budget=budget)
+        # a vacuous binder tries no subset, but its domain is still checked
+        for binder in (ExistsProp, ForallProp):
+            with pytest.raises(BudgetExceeded):
+                extension(m, binder("q", p), budget=budget)
 
     def test_total_enumeration_budget(self):
         m = KripkeModel(("w0", "w1", "w2"), frozenset(), {})
@@ -455,6 +461,15 @@ class TestWorkCounters:
             # forall, with a radius, and under an event diamond with a nominal
             ("forall r. (<> r | [] ~r)", {"w0", "w1", "w2"}, (7, 34, 0, 0)),
             ("<a1> (forall r. (j1 | <> r | [] ~r))", {"w0", "w2"}, (18, 107, 1, 0)),
+            # a vacuous binder is its body, evaluated once without a tick
+            ("exists q. <> p", {"w0"}, (0, 3, 0, 0)),
+            ("forall q. <> p", {"w0"}, (0, 3, 0, 0)),
+            ("exists r. exists q. (<> r & p)", {"w1"}, (7, 30, 0, 0)),
+            # U ~r is the guard U (r -> false): only the empty r is tried
+            ("exists r. (U ~r & <> ~r & p)", {"w1"}, (1, 9, 0, 0)),
+            # p is not free, but the product reads it: no vacuous binder
+            ("exists p. <a1> true", {"w0", "w1", "w2"}, (1, 7, 1, 0)),
+            ("forall p. <a1> true", set(), (5, 27, 5, 0)),
         ],
     )
     def test_direct(self, text, ext, work):
@@ -466,7 +481,7 @@ class TestWorkCounters:
         chi = translate_event(two_events(), "a0", parse_formula("exists r. (r & <> ~r)"))
         ev = Evaluator(three_cycle())
         assert ev.extension(chi) == {"w0", "w1", "w2"}
-        assert self.counters(ev) == (11, 160, 0, 0)
+        assert self.counters(ev) == (11, 110, 0, 0)
 
     def test_translated_n12(self):
         # nesting each block of three fresh props took 264,033 subsets here
@@ -589,7 +604,20 @@ class TestNeighbourhoodEnumeration:
                 if contains_node(phi, (ExistsProp, ForallProp)):
                     quantified.add((model, events, phi))
         assert len(quantified) >= 2000
-        # the translation suite builds blocks, the fixpoint suite encodings
+        # the rewrite golden's box towers and announcement nests, rewritten
+        # under every event and evaluated on four harness models: folding
+        # leaves fewer blocks in the translation suite's rewrites
+        models = [random_model(FuzzConfig(seed=9, cases=1), i) for i in range(4)]
+        outputs = [
+            eliminate_all(events, ActionDiamond(e, psi)).output
+            for _, events, e, psi in family_cases()
+        ]
+        run = lambda: [Evaluator(m).extension(chi) for m in models for chi in outputs]
+        got, _ = self.evaluations(monkeypatch, counted, run)
+        for force in (self.flat, self.shapes_off):
+            assert self.evaluations(monkeypatch, force, run)[0] == got, force.__name__
+        # the translation suite and the families build blocks, the fixpoint
+        # suite encodings
         assert shaped["_eval_block"] >= 250 and shaped["_eval_nu"] >= 700, shaped
 
     @pytest.mark.parametrize("n", [6, 7, 8])
@@ -624,6 +652,10 @@ class TestNeighbourhoodEnumeration:
             "exists r. (~r & U (q -> r))",
             "exists r. (~r & E (r & p) & E (r & q))",
             "exists r. (~r & ~U (r -> q) & ~U (r -> p))",
+            # U ~r is a guard, U r and U ~~r are not
+            "exists r. (U ~r & <> ~r & p)",
+            "exists r. (U r & <> ~r)",
+            "exists r. (U ~~r & p)",
             # the nu encoding, with x not free in B, nested, and two that
             # are not it: x negative in B, and B with an announcement
             "exists x. (x & U (x -> (q & [] x)))",

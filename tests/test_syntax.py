@@ -468,8 +468,8 @@ class TestHashConsing:
         monkeypatch.setattr(syntax, "_Facts", counting)
         out = translate_event(E3, "a0", tower)
         dag = _distinct_nodes(out)
-        assert formula_size(out) == 78603
-        assert len(dag) == 130
+        assert formula_size(out) == 32678
+        assert len(dag) == 91
         # the output's distinct nodes, and the ten of the nominal-tagged
         # body that the quantifier clause rewrites but does not output
         assert 0 < len(built) <= len(dag) + 10

@@ -1,6 +1,7 @@
 import pytest
 
 from produpd import (
+    BOTTOM,
     TOP,
     ActionDiamond,
     And,
@@ -21,6 +22,7 @@ from produpd import (
     Nu,
     Or,
     PreconditionNotBaseMso,
+    Top,
     UnknownEvent,
     classify,
     eliminate_all,
@@ -34,8 +36,10 @@ from produpd import (
 from produpd.harness import FuzzConfig, random_formula, random_model
 from produpd.models import announcement_event_model
 from produpd.semantics import Evaluator
-from produpd.syntax import contains_node
-from produpd.translator import fold_constants
+from produpd.syntax import FRESH_PREFIX, children, contains_node, free_props
+from produpd.translator import build, fold_constants
+from test_rewrite_outcomes import family_cases, translation_cases
+from test_syntax import _distinct_nodes
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -75,29 +79,16 @@ class TestNominalRules:
 
 class TestQuantifierRule:
     def test_transcript_shape(self):
+        # j1 does not match a0, so its disjunct folds away; then _f1 occurs
+        # nowhere, and its guard, with precondition true, is left out
         a = two_event_model()
         chi = translate_event(a, "a0", ExistsProp("p", p))
         expected = ExistsProp(
             "_f0",
-            ExistsProp(
-                "_f1",
-                And(
-                    Global(Implies(Atom("_f0"), q)),
-                    And(
-                        Global(Implies(Atom("_f1"), TOP)),
-                        Or(
-                            And(And(q, Atom("_f0")), q),
-                            And(And(q, Atom("_f1")), Bottom()),
-                        ),
-                    ),
-                ),
-            ),
+            And(Global(Implies(Atom("_f0"), q)), And(And(q, Atom("_f0")), q)),
         )
         assert chi == expected
-        assert print_formula(chi) == (
-            "exists _f0. exists _f1. (U (_f0 -> q) & (U (_f1 -> true) & "
-            "(((q & _f0) & q) | ((q & _f1) & false))))"
-        )
+        assert print_formula(chi) == "exists _f0. (U (_f0 -> q) & ((q & _f0) & q))"
 
     def test_transcript_equivalence_exhaustive(self):
         # <a0> exists p. p is equivalent to q (the a0 precondition) on
@@ -288,7 +279,7 @@ class TestEliminateAll:
         assert report.input == phi
         assert report.input_size == 3
         assert report.input_eps == 1
-        assert report.output_eps == 2
+        assert report.output_eps == 1
         assert report.steps
         data = report.to_jsonable()
         assert set(data) == {
@@ -298,12 +289,16 @@ class TestEliminateAll:
         assert all(set(s) == {"rule", "at"} for s in data["steps"])
 
     def test_simplify_folds_constants(self):
-        a = two_event_model()
-        phi = ActionDiamond("a1", p)
+        # the rewrite folds its own constants, but copies preconditions
+        # verbatim, so only --simplify folds the one inside `q & true`
+        a = EventModel(("a0",), frozenset(), {"a0": And(q, TOP)})
+        phi = ActionDiamond("a0", p)
         plain = eliminate_all(a, phi)
-        assert plain.output == And(TOP, p)
+        assert plain.output == And(And(q, TOP), p)
+        assert "simplify" not in [s.rule for s in plain.steps]
         simplified = eliminate_all(a, phi, simplify=True)
-        assert simplified.output == p
+        assert simplified.output == And(q, p)
+        assert simplified.steps[-1].rule == "simplify"
 
     def test_cross_construction_agreement(self):
         from produpd import announcement_event_model
@@ -359,3 +354,119 @@ class TestFoldConstants:
 
     def test_does_not_touch_modal_structure(self):
         assert fold_constants(Box(TOP)) == Box(TOP)
+
+    @pytest.mark.parametrize(
+        "x",
+        [ExistsProp("r", r), Nominal(0), ActionDiamond("a0", p), Announce(p, q), Nu("r", r)],
+        ids=lambda x: type(x).__name__,
+    )
+    def test_keeps_operands_that_can_raise(self, x):
+        # the evaluator reads these operands, and they can raise
+        for kept in (And(x, BOTTOM), Or(x, TOP), Implies(x, TOP), Implies(BOTTOM, x)):
+            assert fold_constants(kept) is kept
+        # it never reads the right operand of these
+        assert fold_constants(And(BOTTOM, x)) is BOTTOM
+        assert fold_constants(Or(TOP, x)) is TOP
+        # while p can raise nothing
+        assert fold_constants(And(p, BOTTOM)) is BOTTOM
+        for folded in (Or(p, TOP), Implies(p, TOP), Implies(BOTTOM, p)):
+            assert fold_constants(folded) is TOP
+
+
+class TestFoldedOutput:
+    """The rewriters build their output through `build`, so it carries no
+    foldable constant: `true` preconditions, mismatched nominals and dead
+    fresh props leave nothing behind."""
+
+    # the model-check benchmark's event model
+    TWO_EVENTS = EventModel(
+        ("a0", "a1"),
+        frozenset({("a0", "a0"), ("a0", "a1"), ("a1", "a0")}),
+        {"a0": TOP, "a1": p},
+    )
+
+    @pytest.mark.parametrize(
+        "text,rewrite",
+        [
+            (
+                "<a0> (exists r. (r & <> ~r & j0))",
+                "exists _f0. exists _f1. (U (_f1 -> p) & "
+                "(_f0 & (<> ~_f0 | <> (p & ~((p & _f1) & p)))))",
+            ),
+            # the `[] (r | j0)` conjunct holds at once, since j0 matches a0
+            # and a0's precondition is true, so _f0 is not read under it
+            (
+                "<a1> (exists r. (r & <> ~r & [] (r | j0)))",
+                "exists _f0. exists _f1. (U (_f1 -> p) & "
+                "((((p & _f1) & p) & (p & <> ~_f0)) & (p & [] true)))",
+            ),
+            # an announcement's binder goes with the guard `U (r -> p)`
+            # when the body it conjoins folds to false
+            ("<!p> (exists r. false)", "false"),
+            ("<!p> (exists r. (r & false))", "false"),
+            # an announced binder can raise, so `a & false` and the guard stay
+            (
+                "<!(exists s. s)> (exists r. false)",
+                "exists r. (U (r -> (exists s. s)) & ((exists s. s) & false))",
+            ),
+        ],
+    )
+    def test_printed_rewrites(self, text, rewrite):
+        # the first two are model-check's event templates
+        assert print_formula(eliminate_all(self.TWO_EVENTS, parse_formula(text)).output) == rewrite
+
+    def test_raising_precondition_is_not_absorbed(self):
+        # under a0, `_f1 & j1` is `((exists s. s) & _f1) & false`, which
+        # keeps the binder that could raise
+        pre = {"a0": parse_formula("exists s. s"), "a1": p}
+        a = EventModel(("a0", "a1"), frozenset({("a0", "a0")}), pre)
+        assert print_formula(eliminate_all(a, parse_formula("<a0> (exists r. r)")).output) == (
+            "exists _f0. exists _f1. (U (_f0 -> (exists s. s)) & (U (_f1 -> p) & "
+            "((((exists s. s) & _f0) & (exists s. s)) | (((exists s. s) & _f1) & false))))"
+        )
+
+    def test_folded_guard_is_still_read(self):
+        # under precondition q, `U false` rewrites to `q & U (q -> false)`,
+        # which folds to `q & U ~q`; a binder of q still reads it as a guard
+        a = EventModel(("a0",), frozenset({("a0", "a0")}), {"a0": q})
+        out = eliminate_all(a, parse_formula("exists q. <a0> U false")).output
+        assert print_formula(out) == "exists q. (q & U ~q)"
+        ev = Evaluator(KripkeModel(tuple(f"w{i}" for i in range(6)), frozenset(), {}))
+        assert ev.extension(out) == set()
+        assert ev._work.ticks == 1
+
+    @staticmethod
+    def golden_rewrites():
+        for _, events, e, psi in [*translation_cases(), *family_cases()]:
+            yield events, psi, eliminate_all(events, ActionDiamond(e, psi)).output
+
+    def test_no_fresh_binder_is_vacuous(self):
+        for _, _, out in self.golden_rewrites():
+            for f in _distinct_nodes(out):
+                if isinstance(f, ExistsProp) and f.var.startswith(FRESH_PREFIX):
+                    assert f.var in free_props(f.body), print_formula(f)
+
+    def test_nothing_left_to_fold(self):
+        # every node is one that `build` leaves as it is, except inside the
+        # preconditions and announced formulas copied verbatim and the
+        # `U (f -> false)` guards that the evaluator reads; so
+        # `fold_constants` changes only outputs that copy a constant
+        exact = 0
+        for events, psi, out in self.golden_rewrites():
+            copied = set()
+            for f in [*events.pre.values(), *(g.announced for g in _distinct_nodes(psi)
+                                               if isinstance(g, Announce))]:
+                copied.update(_distinct_nodes(f))
+            for f in set(_distinct_nodes(out)) - copied:
+                if isinstance(f, (Not, And, Or, Implies)) and not (
+                    isinstance(f, Implies) and f.right is BOTTOM
+                    and isinstance(f.left, Atom) and f.left.name.startswith(FRESH_PREFIX)
+                ):
+                    assert build(type(f), *children(f)) is f, print_formula(f)
+            if fold_constants(out) is out:
+                exact += 1
+            else:
+                assert any(
+                    isinstance(g, (Top, Bottom)) for g in copied
+                ), print_formula(out)
+        assert exact >= 1000
