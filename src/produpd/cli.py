@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--simplify",
         action="store_true",
-        help="fold the boolean constants inside copied preconditions and announced formulas",
+        help="fold the constants inside copied preconditions and announced formulas",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_translate)

@@ -1,11 +1,11 @@
 """Exhaustive model checking over finite (tagged) models.
 
-Quantifiers try witness subsets from one list per guard and radius, the
-universal modality checks the whole domain, event diamonds evaluate their
-body in a product session and announcements in a relativised one, and
-the greatest fixpoint is computed by descending iteration.  World sets
-are integer bitmasks, and a child session is built from its parent's
-masks, in index space, without naming a model.
+Quantifiers try witness subsets from one list per guard, radius and
+pointedness, the universal modality checks the whole domain, event
+diamonds evaluate their body in a product session and announcements in
+a relativised one, and the greatest fixpoint is computed by descending
+iteration.  World sets are integer bitmasks, and a child session is
+built from its parent's masks, in index space, without naming a model.
 
 A quantifier does not always need every subset of the domain.  One
 static scan of each binder's body, cached for the session tree, finds:
@@ -21,18 +21,25 @@ static scan of each binder's body, cached for the session tree, finds:
   agrees on N_d(w) with one of them.  There is no radius when an
   occurrence sits under `U`, `E` or `nu`, in an announced formula, or
   under an event diamond when the variable is a precondition prop.  Then
-  every subset of the guard is tried, in ascending order.
+  every subset of the guard is tried, in ascending order;
+- whether the binder is pointed: an `exists` with a radius whose variable
+  is itself a conjunct where guards are looked for, as in `exists r. (r &
+  C)`.  Its body then implies the variable, B(x) <= x, so the body holds
+  at w only for witnesses holding w, and world w tries only those: none
+  when w is outside the guard.
 
 It also picks out the rewriter's two binder shapes (`_shape`).  A block
 `exists f0. exists f1. ...`, one fresh prop per event, is enumerated
 jointly, not nested: world by world, each tuple of its members'
-witnesses within N_{d_i}(w) once.  A lone `exists` is a block of one,
-and `forall` tries the same witnesses with the whole domain as guard
-(a quantifier whose body does not depend on its variable is its body:
-the variable is not free there, nor a precondition prop under an event
-diamond);
-each list is kept per session and grows from lazily built submasks, at
-most doubling, only when it is read past its end (`_witnesses`).
+witnesses within N_{d_i}(w) once, those of pointed members holding w.
+A lone `exists` is a block of one, and `forall` tries the same
+witnesses, never pointed, with the whole domain as guard (a quantifier
+whose body does not depend on its variable is its body, and its domain
+goes unchecked: the variable is not free there, nor a precondition prop
+under an event diamond); each list is kept per session and grows from
+lazily built submasks, at most doubling, only when it is read past its
+end (`_witnesses`).  If no world lists a witness, the all-empty tuple
+is tried once, so the body is still evaluated.
 `exists x. (x & U (x -> B))`, the encoding of `nu x. B`, holds on the
 union of the X <= B(X), the greatest fixpoint (Knaster-Tarski), so it is
 iterated instead of enumerated.
@@ -118,21 +125,23 @@ class EvalBudget:
             raise ValueError("max_total_subset_enumerations must be positive")
 
 
-def _submasks(mask: int):
-    """The submasks of `mask` in ascending order, each built as it is read."""
+def _submasks(mask: int, base: int = 0):
+    """`base` joined with each submask of `mask`, in ascending order of
+    submask, each built as it is read."""
     s = 0
-    yield s
+    yield base
     while s != mask:
         s = (s - mask) & mask
-        yield s
+        yield base | s
 
 
 def _submask_tuples(parts: tuple):
-    """Each tuple of submasks of `parts`, in `itertools.product` order, built lazily."""
+    """Each tuple of `_submasks(*part)` over the (mask, base) `parts`, in
+    `itertools.product` order, built lazily."""
     if len(parts) == 1:
-        return zip(_submasks(parts[0]))
+        return zip(_submasks(*parts[0]))
     return itertools.chain.from_iterable(
-        map((x,).__add__, _submask_tuples(parts[1:])) for x in _submasks(parts[0])
+        map((x,).__add__, _submask_tuples(parts[1:])) for x in _submasks(*parts[0])
     )
 
 
@@ -154,10 +163,11 @@ class Evaluator:
     of the node's kind.  A node is memoised while at most
     `_MEMO_ARITY_CAP` of its deps are bound.  A quantifier tries only
     the witnesses that its guard and its radius leave, world by world,
-    from one list per tuple of (guard, radius) pairs cached for the
-    session; a lone `exists` is a block of one, and the nu encoding is
-    iterated (see the module docstring).  `events` supplies the ambient
-    event model that event diamonds and nominals refer to.
+    and, when it is pointed, only those holding the world, from one list
+    per tuple of (guard, radius, pointed) cached for the session; a lone
+    `exists` is a block of one, and the nu encoding is iterated (see the
+    module docstring).  `events` supplies the ambient event model that
+    event diamonds and nominals refer to.
 
     With `_pairs`, `model` is the parent session and the new session is
     its child over the listed (parent world index, event) pairs: the
@@ -261,14 +271,16 @@ class Evaluator:
             )
 
     def _witnesses(self, members: tuple):
-        """The witness tuples of binders with guard masks guard_i and radii
-        d_i, `members` listing the (guard_i, d_i): for each world w in turn,
-        each tuple of submasks of guard_i & N_{d_i}(w) (of guard_i when d_i
-        is None) that no earlier world listed.  Cutting each witness of a
-        tuple that holds at w down to its N_{d_i}(w) keeps it one.  A lone
+        """The witness tuples of binders with guard masks guard_i, radii d_i
+        and pointed flags, `members` listing the (guard_i, d_i, pointed_i):
+        for each world w in turn, each tuple of submasks of guard_i &
+        N_{d_i}(w) (of guard_i when d_i is None), holding w where member i
+        is pointed, that no earlier world listed.  Cutting each witness of
+        a tuple that holds at w down to its N_{d_i}(w) keeps it one, and a
+        pointed member's witness must hold w for the body to.  A lone
         binder's witnesses are listed as masks, not 1-tuples.  The all-empty
-        tuple is listed even on an empty domain, so the body is evaluated
-        once.
+        tuple is listed when no world is, on an empty domain too, so the
+        body is evaluated once.
 
         The list is cached per session and yielded a stretch at a time.  It
         grows, at most doubling, only when a caller reads past its end: a
@@ -299,20 +311,32 @@ class Evaluator:
 
     def _witness_parts(self, members: tuple):
         """For each world w in turn, the tuples of submasks of its parts
-        guard_i & N_{d_i}(w), unless another world's parts hold them."""
-        per_member = [
-            [guard] * self.n if radius is None else [guard & h for h in self._hood(radius)]
-            for guard, radius in members
-        ]
+        guard_i & N_{d_i}(w) that hold w where member i is pointed, each
+        part a (mask, base) pair for `_submasks`.  A world outside a
+        pointed member's guard has none.  Without a pointed member, parts
+        that another world's parts hold are skipped."""
+        per_member = []
+        for guard, radius, pointed in members:
+            parts = [guard] * self.n if radius is None else [guard & h for h in self._hood(radius)]
+            per_member.append([
+                (part & ~(1 << i), 1 << i) if guard >> i & 1 else None
+                for i, part in enumerate(parts)
+            ] if pointed else [(part, 0) for part in parts])
+        listed = [part for part in dict.fromkeys(zip(*per_member)) if None not in part]
+        # a pointed part's witnesses hold its world, which those of a
+        # part it lies within need not, so only unpointed parts are skipped
+        skip_dominated = not any(pointed for *_, pointed in members)
         missed = []  # the complement of each world's parts so far, packed
-        for part in dict.fromkeys(zip(*per_member)) or [(0,) * len(members)]:
-            packed = 0
-            for x in part:
-                packed = packed << self.n | x
-            # parts within those of a world already taken add no tuple
-            if 0 not in map(packed.__and__, missed):
+        for part in listed or [((0, 0),) * len(members)]:
+            if skip_dominated:
+                packed = 0
+                for x, _ in part:
+                    packed = packed << self.n | x
+                # parts within those of a world already taken add no tuple
+                if 0 in map(packed.__and__, missed):
+                    continue
                 missed.append(~packed)
-                yield _submask_tuples(part) if len(part) > 1 else _submasks(part[0])
+            yield _submask_tuples(part) if len(part) > 1 else _submasks(*part[0])
 
     def _hood(self, radius: int) -> list[int]:
         """N_radius(w) for each world w: the worlds reachable from w in at
@@ -442,13 +466,17 @@ class Evaluator:
 
     def _scan(self, phi: ExistsProp | ForallProp) -> tuple:
         """The binder's guard bodies, its locality radius (None when it has
-        none; see the module docstring) and its fast path, from one walk:
-        `_eval_vacuous` when its body does not depend on var, else `_shape`.
+        none; see the module docstring), whether it is pointed and its fast
+        path, from one walk: `_eval_vacuous` when its body does not depend
+        on var, else `_shape`.
 
         Guards (`exists` only) are found through conjunctions and through
         intermediate `exists` of other variables: a guard conjunct that
         mentions no intervening binder falsifies the whole inner body for
-        oversized witnesses regardless of the inner choices.
+        oversized witnesses regardless of the inner choices.  Where guards
+        are looked for, var itself as a conjunct makes the body imply var,
+        so an `exists` with a radius is pointed: its witness holds the
+        world it is tried for.
 
         Under U, E, nu or in an announced formula, truth at a world can
         depend on var at any distance.  So can an event diamond anywhere
@@ -463,7 +491,7 @@ class Evaluator:
             return got
         var = phi.var
         bodies: list[Formula] = []
-        radius = 0
+        radius, pointed = 0, False
         if var in self._pre_props and contains_node(phi.body, ActionDiamond):
             radius = None
         # (node, modal depth, binders passed on the guard path, or None off it)
@@ -477,14 +505,16 @@ class Evaluator:
                 continue
             cls = type(f)
             if shadowed is not None:
-                if cls is And:
+                if cls is Atom:
+                    pointed = True
+                elif cls is And:
                     stack.append((f.left, depth, shadowed))
                     stack.append((f.right, depth, shadowed))
                     continue
-                if cls is ExistsProp:
+                elif cls is ExistsProp:
                     stack.append((f.body, depth, shadowed | {f.var}))
                     continue
-                if cls is Global and type(f.body) in (Implies, Not):
+                elif cls is Global and type(f.body) in (Implies, Not):
                     # U (var -> A), or U ~var, which is U (var -> false)
                     g = f.body
                     head, rhs = (g.left, g.right) if type(g) is Implies else (g.body, BOTTOM)
@@ -507,36 +537,39 @@ class Evaluator:
             else:
                 for part in children(f):
                     stack.append((part, depth, None))
+        # with no radius each world would try every witness anyway
+        pointed = pointed and radius is not None
         # with var not free the walk reads nothing, so no radius there
         # means a precondition prop that an event diamond's product reads
         if var not in phi.body._facts.free and radius is not None:
             shape = Evaluator._eval_vacuous, None
         elif type(phi) is ExistsProp:
-            shape = self._shape(phi, bodies, radius)
+            shape = self._shape(phi, (bodies, radius, pointed))
         else:
             shape = None
-        return self._scans.setdefault(phi, (bodies, radius, shape))
+        return self._scans.setdefault(phi, (bodies, radius, pointed, shape))
 
-    def _shape(self, phi: ExistsProp, bodies, radius):
+    def _shape(self, phi: ExistsProp, member: tuple):
         """(handler, argument) of `phi`'s fast path, or None: the nu encoding
         with B positive in x and free of dynamic operators, or the head of a
-        block whose members all have a radius."""
+        block whose members all have a radius.  `member` is `phi`'s
+        (guard bodies, radius, pointed)."""
         var, body = phi.var, phi.body
         match body:
             case And(right=Global(body=Implies(right=rhs))) if phi is nu_encoding(var, rhs):
                 if is_positive_in(rhs, var) and not contains_node(rhs, (ActionDiamond, Announce)):
                     return Evaluator._eval_nu, rhs
-        names, members = [var], [(bodies, radius)]
+        names, members = [var], [member]
         # the chain ends at a repeated variable or at a binder whose body
         # ignores its variable (nested, one memo entry serves every witness)
         while type(body) is ExistsProp and body.var in body.body._facts.free.difference(names):
             names.append(body.var)
-            members.append(self._scan(body)[:2])
+            members.append(self._scan(body)[:3])
             body = body.body
         # a guard naming a member puts that member under U, leaving it no
         # radius, so every guard can be evaluated once, outside the block
         if len(names) > 1 and var in phi.body._facts.free and all(
-            radius is not None for _, radius in members
+            radius is not None for _, radius, _ in members
         ):
             return Evaluator._eval_block, (names, members, body)
         return None
@@ -548,20 +581,19 @@ class Evaluator:
         return guard
 
     def _eval_exists(self, phi: ExistsProp, env: dict) -> int:
-        self._check_quantifier_domain()
-        bodies, radius, shape = self._scan(phi)
+        *member, shape = self._scan(phi)
         if shape is not None:
             return shape[0](self, phi, env, shape[1])
-        return self._eval_block(phi, env, ((phi.var,), ((bodies, radius),), phi.body))
+        return self._eval_block(phi, env, ((phi.var,), (member,), phi.body))
 
     def _eval_forall(self, phi: ForallProp, env: dict) -> int:
-        self._check_quantifier_domain()
-        _, radius, shape = self._scan(phi)
+        _, radius, _, shape = self._scan(phi)
         if shape is not None:
             return shape[0](self, phi, env, shape[1])
+        self._check_quantifier_domain()
         result = self.full
         sub_env = dict(env)
-        for chunk in self._witnesses(((self.full, radius),)):
+        for chunk in self._witnesses(((self.full, radius, False),)):
             for x in chunk:
                 self._tick(phi)
                 sub_env[phi.var] = x
@@ -571,13 +603,18 @@ class Evaluator:
         return result
 
     def _eval_vacuous(self, phi: ExistsProp | ForallProp, env: dict, _) -> int:
+        """The body: a binder that enumerates nothing leaves its domain
+        unchecked, like the rewrite that drops it."""
         return self._eval(phi.body, env)
 
     def _eval_block(self, phi: ExistsProp, env: dict, block) -> int:
         """The block's witness tuples (`_witnesses`) within its members'
         guards, one tick each, until the result is the whole domain."""
+        self._check_quantifier_domain()
         names, members, body = block
-        key = tuple((self._guard(bodies, env), radius) for bodies, radius in members)
+        key = tuple(
+            (self._guard(bodies, env), radius, pointed) for bodies, radius, pointed in members
+        )
         sub_env = dict(env)
         result = 0
         # binding a lone binder's variable directly beats update(zip(...))
@@ -598,6 +635,8 @@ class Evaluator:
         """Descending iteration from the full set, of `nu x. B` or, given
         B, of its encoding, which ticks once per iteration."""
         encoded = body is not None
+        if encoded:
+            self._check_quantifier_domain()
         body = body if encoded else phi.body
         x = self.full
         sub_env = dict(env)

@@ -26,7 +26,8 @@ trace that the first rewrite recorded, so output and trace are those of
 the unshared tree while the work follows the shared graph.
 
 Every output node is built through `build`, which folds boolean
-constants as the rules produce them: a `true` precondition, a
+constants, and `[] true`, `<> false`, `U true` and `E false`, as the
+rules produce them: a `true` precondition, a
 mismatched nominal's `false` and what they decide leave nothing behind,
 so the evaluator spends no memo entry or call on them, and a fresh
 proposition read only by a dead branch takes no locality radius from
@@ -34,8 +35,9 @@ it.  A fold that would skip an operand able to raise (a binder, nominal,
 event diamond or announcement) is not made.  Preconditions and
 announced formulas are copied verbatim, and the guards `U (f -> pre)`
 stay unfolded, since the evaluator reads them as guards; a guard whose
-precondition is `true` is left out, and a binder whose proposition no
-longer occurs is not emitted.
+precondition is `true` is left out, and a fresh binder whose proposition
+the folded body no longer reads is not emitted, nor is its guard, unless
+the precondition can raise.
 """
 
 from __future__ import annotations
@@ -145,11 +147,11 @@ def expand_foralls(phi: Formula) -> Formula:
 
 
 def fold_constants(phi: Formula) -> Formula:
-    """Boolean constant folding, nothing else: every node rebuilt through
-    `build`.  The rewriters already build their output that way, so this
-    folds only the constants that they copy verbatim: in preconditions,
-    announced formulas, static parts of the input and `U (f -> false)`
-    guards."""
+    """Constant folding, nothing else: every boolean node and every box,
+    diamond, `U` and `E` rebuilt through `build`.  The rewriters already
+    build their output that way, so this folds only the constants that they
+    copy verbatim: in preconditions, announced formulas, static parts of
+    the input and `U (f -> false)` guards."""
     done: dict[Formula, Formula] = {}
 
     def go(f: Formula) -> Formula:
@@ -157,7 +159,7 @@ def fold_constants(phi: Formula) -> Formula:
         if out is None:
             parts = tuple(go(c) for c in children(f))
             cls = type(f)
-            out = done[f] = build(cls, *parts) if cls in _BOOLEAN else rebuild(f, parts)
+            out = done[f] = build(cls, *parts) if cls in _FOLDED else rebuild(f, parts)
         return out
 
     return go(phi)
@@ -180,26 +182,33 @@ _CONNECTIVES = {
     ExistsGlobal: ("somewhere", True, "every"),
 }
 _UNIVERSAL = (Box, Global)
-_BOOLEAN = (Not, And, Or, Implies)
+# the nodes `build` folds
+_FOLDED = (Not, And, Or, Implies, Box, Diamond, Global, ExistsGlobal)
 # for `&` and `|`: the constant that leaves the other operand as it is, and
 # the one that decides the node
 _UNIT_ZERO = {And: (TOP, BOTTOM), Or: (BOTTOM, TOP)}
+# for a modality: the operand that it leaves as it is, at every world
+_MODAL_FOLD = {Box: TOP, Global: TOP, Diamond: BOTTOM, ExistsGlobal: BOTTOM}
 # the nodes whose evaluation can raise: a binder can exhaust its budget, a
 # nominal, event diamond or announcement can lack an event model
 _RAISING = (ExistsProp, ForallProp, Nu, Nominal, ActionDiamond, Announce)
 
 
 def build(cls, *parts) -> Formula:
-    """`cls(*parts)` with its boolean constants folded.
+    """`cls(*parts)` with its constants folded.
 
-    `~true` and `~false` become constants; `true & X`, `X & true`,
+    `~true` and `~false` become constants, and so do `[] true` and `U true`
+    (true) and `<> false` and `E false` (false).  `true & X`, `X & true`,
     `X | false`, `false | X` and `true -> X` become X, and `X -> false`
     becomes `~X`.  `false & X` is false and `true | X` true: the evaluator
     never reads X there.  `X & false`, `X | true`, `X -> true` and
     `false -> X` fold only when X can raise nothing, so that no
     evaluation loses an exception it raises unfolded.
     """
-    if cls is Not:
+    if cls in _MODAL_FOLD:
+        if parts[0] is _MODAL_FOLD[cls]:
+            return parts[0]
+    elif cls is Not:
         if parts[0] is TOP:
             return BOTTOM
         if parts[0] is BOTTOM:
@@ -246,9 +255,9 @@ def _connect(psi: Formula, pre: Formula, parts: list) -> Formula:
     if scope is None:
         out = build(cls, *parts)
     elif cls in _UNIVERSAL:
-        out = _join(And, [cls(build(Implies, pre_b, body)) for pre_b, body in parts])
+        out = _join(And, [build(cls, build(Implies, pre_b, body)) for pre_b, body in parts])
     else:
-        out = _join(Or, [cls(body) for _, body in parts])
+        out = _join(Or, [build(cls, body) for _, body in parts])
     return build(And, pre, out) if guarded else out
 
 
@@ -356,18 +365,20 @@ def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
             avoid |= all_props(f)
         names = fresh_props(len(a.events), avoid)
         tagged = _join(Or, [And(Atom(f), Nominal(i)) for i, f in enumerate(names)])
-        body = substitute(psi.body, psi.var, tagged)
+        body = _tr_event(a, alpha, substitute(psi.body, psi.var, tagged), steps, log, m, memo)
+        # a prop that folding dropped from the body goes with its guard,
+        # which the empty set satisfies, unless the guard can raise
+        kept = [
+            (f, a.pre[e])
+            for f, e in zip(names, a.events)
+            if f in body._facts.free or contains_node(a.pre[e], _RAISING)
+        ]
         # `U (f -> pre)` stays unfolded, since the evaluator reads it as a
         # guard; with `pre` true it says nothing and is left out
-        guards = [
-            Global(Implies(Atom(f), a.pre[e]))
-            for f, e in zip(names, a.events)
-            if a.pre[e] is not TOP
-        ]
-        out = _join(And, guards + [_tr_event(a, alpha, body, steps, log, m, memo)])
-        for name in reversed(names):
-            if name in out._facts.free:  # else folding dropped every occurrence
-                out = ExistsProp(name, out)
+        guards = [Global(Implies(Atom(f), pre_f)) for f, pre_f in kept if pre_f is not TOP]
+        out = _join(And, guards + [body])
+        for name, _ in reversed(kept):
+            out = ExistsProp(name, out)
     else:
         raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
     memo[key] = (out, start, None if steps is None else len(steps))

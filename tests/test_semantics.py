@@ -221,10 +221,21 @@ class TestErrors:
         budget = EvalBudget(max_worlds_for_quantifier=4)
         with pytest.raises(BudgetExceeded):
             extension(m, ExistsProp("p", p), budget=budget)
-        # a vacuous binder tries no subset, but its domain is still checked
+        # a vacuous binder enumerates nothing, so its domain is not
+        # checked: it is its body, as in a rewrite that drops it
         for binder in (ExistsProp, ForallProp):
-            with pytest.raises(BudgetExceeded):
-                extension(m, binder("q", p), budget=budget)
+            assert extension(m, binder("q", p), budget=budget) == frozenset()
+
+    def test_vacuous_binder_on_both_routes(self):
+        # 30 product worlds, over the 16 of the default budget: the direct
+        # route enumerates nothing, and the rewrite is `false`
+        worlds = tuple(f"w{i}" for i in range(30))
+        m = KripkeModel(worlds, frozenset(), {})
+        a = EventModel(("a0",), frozenset({("a0", "a0")}), {"a0": TOP})
+        phi = parse_formula("<a0> (exists r. false)")
+        rewritten = eliminate_all(a, phi).output
+        assert print_formula(rewritten) == "false"
+        assert extension(m, phi, events=a) == extension(m, rewritten) == frozenset()
 
     def test_total_enumeration_budget(self):
         m = KripkeModel(("w0", "w1", "w2"), frozenset(), {})
@@ -232,8 +243,9 @@ class TestErrors:
         # the message names the binder that hit the limit and the work done.
         # A block is enumerated jointly and named by its first binder: the
         # 8 triples within w0, then the 7 new ones within w1, so the 11th
-        # tuple tried is one of w1's
-        block = parse_formula("exists p. exists q. exists r. (p & q & r)")
+        # tuple tried is one of w1's (no member is pointed: with body
+        # `p & q & r` each world would try only the triple that holds it)
+        block = parse_formula("exists p. exists q. exists r. (p | q | r)")
         with pytest.raises(BudgetExceeded) as got:
             extension(m, block, budget=budget)
         assert str(got.value) == (
@@ -430,7 +442,8 @@ class TestWorkCounters:
     @pytest.mark.parametrize(
         "text,ext,work",
         [
-            ("<a0> (exists r. (r & [] ~r))", {"w1", "w2"}, (18, 76, 1, 0)),
+            # r is pointed: each world tries only the witnesses holding it
+            ("<a0> (exists r. (r & [] ~r))", {"w1", "w2"}, (15, 66, 1, 0)),
             ("exists p. <a1> (<> p & [] q)", set(), (8, 70, 8, 0)),
             ("<!p | q> (~p & [!<> q] <> q)", {"w0", "w2"}, (0, 14, 0, 2)),
             ("nu x. (q & <> x)", {"w0", "w2"}, (0, 8, 0, 0)),
@@ -470,6 +483,9 @@ class TestWorkCounters:
             # p is not free, but the product reads it: no vacuous binder
             ("exists p. <a1> true", {"w0", "w1", "w2"}, (1, 7, 1, 0)),
             ("forall p. <a1> true", set(), (5, 27, 5, 0)),
+            # pointed with an empty guard: no world is listed, and the
+            # empty witness is tried once
+            ("exists r. (U ~r & r & <> p)", set(), (1, 7, 0, 0)),
         ],
     )
     def test_direct(self, text, ext, work):
@@ -481,16 +497,18 @@ class TestWorkCounters:
         chi = translate_event(two_events(), "a0", parse_formula("exists r. (r & <> ~r)"))
         ev = Evaluator(three_cycle())
         assert ev.extension(chi) == {"w0", "w1", "w2"}
-        assert self.counters(ev) == (11, 110, 0, 0)
+        # a block of the pointed _f0, a conjunct, and _f1, under a diamond
+        assert self.counters(ev) == (7, 91, 0, 0)
 
     def test_translated_n12(self):
-        # nesting each block of three fresh props took 264,033 subsets here
+        # nesting each block of three fresh props took 264,033 subsets
+        # here, and unpointed blocks 15,526
         m, events, phi = n_family(12)
         ev = Evaluator(m)
         # the direct route quantifies over the 24-world product
         direct = Evaluator(m, events, EvalBudget(max_worlds_for_quantifier=24))
         assert ev.extension(translate_event(events, "a0", phi.body)) == direct.extension(phi)
-        assert ev._work.ticks == 15_526
+        assert ev._work.ticks == 4_864
 
 
 def n_family(n):
@@ -515,6 +533,24 @@ def n_family(n):
     )
 
 
+# whether each binder of the `exists` chain is pointed, outermost first
+POINTED = {
+    # r a conjunct under an inner `exists s.`, and under an inner `exists
+    # r.` that shadows it
+    "exists r. (<> ~r & (exists s. (s & r & [] ~s)))": [True],
+    "exists r. (<> r & (exists r. (r & [] ~r)))": [False],
+    # a block with one pointed and one unpointed member
+    "exists r. exists s. (r & <> s & [] (~r | ~s))": [True, False],
+    # r under U leaves it no radius, so it is not pointed
+    "exists r. (r & U (q -> r))": [False],
+    # an empty guard: one tick
+    "exists r. (U ~r & r & <> p)": [True],
+    # p is a precondition prop, so it has no radius; r has radius 1
+    "exists p. (p & <a1> [] q)": [False],
+    "exists r. (r & <a1> [] ~r)": [True],
+}
+
+
 class TestNeighbourhoodEnumeration:
     """Trying only the witnesses within each world's neighbourhood of the
     binder's locality radius gives exactly the extensions that trying
@@ -528,13 +564,13 @@ class TestNeighbourhoodEnumeration:
     def flat(monkeypatch):
         scan = Evaluator._scan
         monkeypatch.setattr(
-            Evaluator, "_scan", lambda self, phi: (scan(self, phi)[0], None, None)
+            Evaluator, "_scan", lambda self, phi: (scan(self, phi)[0], None, False, None)
         )
 
     @staticmethod
     def shapes_off(monkeypatch):
         scan = Evaluator._scan
-        monkeypatch.setattr(Evaluator, "_scan", lambda self, phi: (*scan(self, phi)[:2], None))
+        monkeypatch.setattr(Evaluator, "_scan", lambda self, phi: (*scan(self, phi)[:3], None))
 
     def evaluations(self, monkeypatch, force, run):
         """The evaluations that `run()` asks of any session, in order, as
@@ -554,6 +590,15 @@ class TestNeighbourhoodEnumeration:
 
                 mp.setattr(Evaluator, name, recorded)
             return calls, run()
+
+    @staticmethod
+    def quantified(calls):
+        """The (model, events, formula) of each recorded evaluation of a
+        formula that holds a quantifier."""
+        for _, model, events, args, _ in calls:
+            phi = args[-1] if isinstance(args[-1], Formula) else args[0]
+            if contains_node(phi, (ExistsProp, ForallProp)):
+                yield model, events, phi
 
     def cross_check(self, monkeypatch, session, formula):
         """`formula`'s extension on a fresh `session()`, equal with the
@@ -599,15 +644,12 @@ class TestNeighbourhoodEnumeration:
                 want, forced_report = self.evaluations(monkeypatch, force, lambda: run_fuzz(cfg))
                 assert got == want, (suite, force.__name__)
                 assert report.payload() == forced_report.payload()
-            for _, model, events, args, _ in got:
-                phi = args[-1] if isinstance(args[-1], Formula) else args[0]
-                if contains_node(phi, (ExistsProp, ForallProp)):
-                    quantified.add((model, events, phi))
-        assert len(quantified) >= 2000
+            quantified.update(self.quantified(got))
         # the rewrite golden's box towers and announcement nests, rewritten
-        # under every event and evaluated on four harness models: folding
-        # leaves fewer blocks in the translation suite's rewrites
-        models = [random_model(FuzzConfig(seed=9, cases=1), i) for i in range(4)]
+        # under every event and evaluated on eight harness models: folding
+        # leaves fewer blocks, and fewer binders, in the translation suite's
+        # rewrites
+        models = [random_model(FuzzConfig(seed=9, cases=1), i) for i in range(8)]
         outputs = [
             eliminate_all(events, ActionDiamond(e, psi)).output
             for _, events, e, psi in family_cases()
@@ -616,6 +658,8 @@ class TestNeighbourhoodEnumeration:
         got, _ = self.evaluations(monkeypatch, counted, run)
         for force in (self.flat, self.shapes_off):
             assert self.evaluations(monkeypatch, force, run)[0] == got, force.__name__
+        quantified.update(self.quantified(got))
+        assert len(quantified) >= 2000
         # the translation suite and the families build blocks, the fixpoint
         # suite encodings
         assert shaped["_eval_block"] >= 250 and shaped["_eval_nu"] >= 700, shaped
@@ -645,8 +689,6 @@ class TestNeighbourhoodEnumeration:
             # nominals under the binder
             "<a0> (exists r. (r & j0 & <> ~r))",
             "<a1> (forall r. (j1 | <> r | [] ~r))",
-            # a bound precondition prop
-            "exists p. (p & <a1> [] q)",
             # witnesses that no one world's neighbourhood holds: r under U
             # and E, and a U (r -> A) conjunct under a negation
             "exists r. (~r & U (q -> r))",
@@ -671,11 +713,24 @@ class TestNeighbourhoodEnumeration:
             "exists r. exists s. (<a0> [] (r | s) & ~r & ~s)",
             "exists r. exists s. (U (s -> r) & <> s & ~r)",
             "exists r. exists s. exists r. (<> r & s)",
+            # pointed binders and, among them, a bound precondition prop
+            # (see `test_pointed`)
+            *POINTED,
         ],
     )
     def test_hand_cases(self, monkeypatch, text):
         phi = parse_formula(text)
         self.cross_check(monkeypatch, lambda: Evaluator(three_cycle(), events=two_events()), phi)
+
+    @pytest.mark.parametrize("text", POINTED)
+    def test_pointed(self, text):
+        # each binder of the `exists` chain, outermost first
+        ev = Evaluator(three_cycle(), events=two_events())
+        phi, flags = parse_formula(text), []
+        while isinstance(phi, ExistsProp):
+            flags.append(ev._scan(phi)[2])
+            phi = phi.body
+        assert flags == POINTED[text]
 
     def test_bound_precondition_props(self, monkeypatch):
         # p is a precondition prop of both events, so an event diamond in

@@ -9,6 +9,7 @@ from produpd import (
     Atom,
     Bottom,
     Box,
+    Diamond,
     EventModel,
     ExistsGlobal,
     ExistsProp,
@@ -37,7 +38,7 @@ from produpd.harness import FuzzConfig, random_formula, random_model
 from produpd.models import announcement_event_model
 from produpd.semantics import Evaluator
 from produpd.syntax import FRESH_PREFIX, children, contains_node, free_props
-from produpd.translator import build, fold_constants
+from produpd.translator import _FOLDED, _RAISING, build, fold_constants
 from test_rewrite_outcomes import family_cases, translation_cases
 from test_syntax import _distinct_nodes
 
@@ -353,7 +354,18 @@ class TestFoldConstants:
         assert fold_constants(Not(TOP)) == Bottom()
 
     def test_does_not_touch_modal_structure(self):
-        assert fold_constants(Box(TOP)) == Box(TOP)
+        # only the four modal constants below fold: `<> true` is false at
+        # a dead end, `[] false` true there
+        for kept in (Box(p), Diamond(TOP), Box(BOTTOM), Global(p), ExistsGlobal(TOP)):
+            assert fold_constants(kept) is kept
+
+    def test_folds_modal_constants(self):
+        assert fold_constants(Box(TOP)) is TOP
+        assert fold_constants(Global(TOP)) is TOP
+        assert fold_constants(Diamond(BOTTOM)) is BOTTOM
+        assert fold_constants(ExistsGlobal(BOTTOM)) is BOTTOM
+        # through the boolean folds, inside out
+        assert fold_constants(parse_formula("[] (p | true) & <> (q & <> false)")) is BOTTOM
 
     @pytest.mark.parametrize(
         "x",
@@ -394,11 +406,12 @@ class TestFoldedOutput:
                 "(_f0 & (<> ~_f0 | <> (p & ~((p & _f1) & p)))))",
             ),
             # the `[] (r | j0)` conjunct holds at once, since j0 matches a0
-            # and a0's precondition is true, so _f0 is not read under it
+            # and a0's precondition is true, so _f0 is not read under it,
+            # and `p & [] true` folds to p
             (
                 "<a1> (exists r. (r & <> ~r & [] (r | j0)))",
                 "exists _f0. exists _f1. (U (_f1 -> p) & "
-                "((((p & _f1) & p) & (p & <> ~_f0)) & (p & [] true)))",
+                "((((p & _f1) & p) & (p & <> ~_f0)) & p))",
             ),
             # an announcement's binder goes with the guard `U (r -> p)`
             # when the body it conjoins folds to false
@@ -425,6 +438,31 @@ class TestFoldedOutput:
             "((((exists s. s) & _f0) & (exists s. s)) | (((exists s. s) & _f1) & false))))"
         )
 
+    @pytest.mark.parametrize(
+        "pre,relation,rewrite",
+        [
+            # under a1's precondition false, `_f1 & j1` and `<> false` fold
+            # away, and _f1 with its guard `U (_f1 -> false)`
+            ("false", {("a0", "a0"), ("a0", "a1")}, "exists _f0. (_f0 & <> _f0)"),
+            # a0 reaches no a1, so `_f1 & j1` folds away; a precondition
+            # that can raise keeps its guard and binder
+            ("q", {("a0", "a0")}, "exists _f0. (_f0 & <> _f0)"),
+            (
+                "exists s. (s & false)",
+                {("a0", "a0")},
+                "exists _f0. exists _f1. (U (_f1 -> (exists s. (s & false))) & (_f0 & <> _f0))",
+            ),
+        ],
+        ids=["false", "unreached", "raising"],
+    )
+    def test_unread_fresh_prop_goes_with_its_guard(self, pre, relation, rewrite):
+        a = EventModel(("a0", "a1"), frozenset(relation), {"a0": TOP, "a1": parse_formula(pre)})
+        phi = parse_formula("<a0> (exists r. (r & <> r))")
+        out = eliminate_all(a, phi).output
+        assert print_formula(out) == rewrite
+        m = KripkeModel(("w0", "w1", "w2"), frozenset({("w0", "w0"), ("w1", "w2")}), {})
+        assert extension(m, out) == extension(m, phi, events=a) == {"w0", "w1"}
+
     def test_folded_guard_is_still_read(self):
         # under precondition q, `U false` rewrites to `q & U (q -> false)`,
         # which folds to `q & U ~q`; a binder of q still reads it as a guard
@@ -441,10 +479,32 @@ class TestFoldedOutput:
             yield events, psi, eliminate_all(events, ActionDiamond(e, psi)).output
 
     def test_no_fresh_binder_is_vacuous(self):
+        # a fresh prop is read outside its guard `U (f -> pre)`, unless pre
+        # can raise
         for _, _, out in self.golden_rewrites():
             for f in _distinct_nodes(out):
                 if isinstance(f, ExistsProp) and f.var.startswith(FRESH_PREFIX):
                     assert f.var in free_props(f.body), print_formula(f)
+                    body, pre = self.past_guards(f)
+                    assert f.var in free_props(body) or contains_node(pre, _RAISING)
+
+    @staticmethod
+    def past_guards(binder):
+        """The conjunction under `binder`'s chain of `exists` past the
+        guards `U (f -> pre)` of the chain's props that lead it, and the
+        precondition of `binder`'s own guard (`true` if it has none)."""
+        names, f = {binder.var}, binder.body
+        while isinstance(f, ExistsProp):
+            names.add(f.var)
+            f = f.body
+        pre = TOP
+        while isinstance(f, And) and isinstance(f.left, Global) and isinstance(
+            f.left.body, Implies
+        ) and getattr(f.left.body.left, "name", None) in names:
+            if f.left.body.left.name == binder.var:
+                pre = f.left.body.right
+            f = f.right
+        return f, pre
 
     def test_nothing_left_to_fold(self):
         # every node is one that `build` leaves as it is, except inside the
@@ -458,7 +518,7 @@ class TestFoldedOutput:
                                                if isinstance(g, Announce))]:
                 copied.update(_distinct_nodes(f))
             for f in set(_distinct_nodes(out)) - copied:
-                if isinstance(f, (Not, And, Or, Implies)) and not (
+                if isinstance(f, _FOLDED) and not (
                     isinstance(f, Implies) and f.right is BOTTOM
                     and isinstance(f.left, Atom) and f.left.name.startswith(FRESH_PREFIX)
                 ):
