@@ -24,16 +24,19 @@ static scan of each binder's body, cached for the session tree, finds:
   every subset of the guard is tried, in ascending order;
 - whether the binder is pointed: an `exists` with a radius whose variable
   is itself a conjunct where guards are looked for, as in `exists r. (r &
-  C)`.  Its body then implies the variable, B(x) <= x, so the body holds
-  at w only for witnesses holding w, and world w tries only those: none
-  when w is outside the guard.
+  C)` or `exists r. ~(r -> C)` (`~(A -> C)` is read as `A & ~C` there).
+  Its body then implies the variable, B(x) <= x, so the body holds at w
+  only for witnesses holding w, and world w tries only those: none when
+  w is outside the guard.  Dually, `forall r. (A -> C)` with a radius and
+  r a conjunct of A holds at every world outside its witness, so only
+  witnesses holding w can falsify it at w.
 
 It also picks out the rewriter's two binder shapes (`_shape`).  A block
 `exists f0. exists f1. ...`, one fresh prop per event, is enumerated
 jointly, not nested: world by world, each tuple of its members'
 witnesses within N_{d_i}(w) once, those of pointed members holding w.
 A lone `exists` is a block of one, and `forall` tries the same
-witnesses, never pointed, with the whole domain as guard (a quantifier
+witnesses with the whole domain as guard (a quantifier
 whose body does not depend on its variable is its body, and its domain
 goes unchecked: the variable is not free there, nor a precondition prop
 under an event diamond); each list is kept per session and grows from
@@ -476,7 +479,10 @@ class Evaluator:
         oversized witnesses regardless of the inner choices.  Where guards
         are looked for, var itself as a conjunct makes the body imply var,
         so an `exists` with a radius is pointed: its witness holds the
-        world it is tried for.
+        world it is tried for.  `~(A -> B)` there is read as `A & ~B`.  A
+        `forall var. (A -> B)` looks for var in A the same way, and no
+        guards: with var a conjunct of A it holds outside its witness, so
+        with a radius it is pointed too.
 
         Under U, E, nu or in an announced formula, truth at a world can
         depend on var at any distance.  So can an event diamond anywhere
@@ -495,7 +501,14 @@ class Evaluator:
         if var in self._pre_props and contains_node(phi.body, ActionDiamond):
             radius = None
         # (node, modal depth, binders passed on the guard path, or None off it)
-        stack = [(phi.body, 0, frozenset() if type(phi) is ExistsProp else None)]
+        exists = type(phi) is ExistsProp
+        if exists:
+            stack = [(phi.body, 0, frozenset())]
+        elif type(phi.body) is Implies:
+            # `forall var. (A -> B)`: var as a conjunct of A points it
+            stack = [(phi.body.left, 0, frozenset()), (phi.body.right, 0, None)]
+        else:
+            stack = [(phi.body, 0, None)]
         # off the guard path, the deepest depth each node was walked at: a
         # shared subterm is walked again only deeper, not once per occurrence
         deepest: dict[Formula, int] = {}
@@ -514,7 +527,12 @@ class Evaluator:
                 elif cls is ExistsProp:
                     stack.append((f.body, depth, shadowed | {f.var}))
                     continue
-                elif cls is Global and type(f.body) in (Implies, Not):
+                elif cls is Not and type(f.body) is Implies:
+                    # `~(A -> B)` is `A & ~B`
+                    stack.append((f.body.left, depth, shadowed))
+                    stack.append((f.body.right, depth, None))
+                    continue
+                elif exists and cls is Global and type(f.body) in (Implies, Not):
                     # U (var -> A), or U ~var, which is U (var -> false)
                     g = f.body
                     head, rhs = (g.left, g.right) if type(g) is Implies else (g.body, BOTTOM)
@@ -543,7 +561,7 @@ class Evaluator:
         # means a precondition prop that an event diamond's product reads
         if var not in phi.body._facts.free and radius is not None:
             shape = Evaluator._eval_vacuous, None
-        elif type(phi) is ExistsProp:
+        elif exists:
             shape = self._shape(phi, (bodies, radius, pointed))
         else:
             shape = None
@@ -587,13 +605,13 @@ class Evaluator:
         return self._eval_block(phi, env, ((phi.var,), (member,), phi.body))
 
     def _eval_forall(self, phi: ForallProp, env: dict) -> int:
-        _, radius, _, shape = self._scan(phi)
+        _, radius, pointed, shape = self._scan(phi)
         if shape is not None:
             return shape[0](self, phi, env, shape[1])
         self._check_quantifier_domain()
         result = self.full
         sub_env = dict(env)
-        for chunk in self._witnesses(((self.full, radius, False),)):
+        for chunk in self._witnesses(((self.full, radius, pointed),)):
             for x in chunk:
                 self._tick(phi)
                 sub_env[phi.var] = x

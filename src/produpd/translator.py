@@ -1,16 +1,25 @@
 """Rewrites dynamic modalities into the static quantified base language.
 
-Event diamonds are pushed through every connective by one reduction
-clause per connective, and one table (`_CONNECTIVES`) holds those
-clauses.  The quantifier case routes through action nominals: the bound
-proposition is replaced by a disjunction of fresh propositions paired
-with nominals, one per event, guarded by conjuncts tying each fresh
+The rewrite is relativised: `<alpha> psi` becomes `pre_alpha &
+t_alpha(psi)`, where t_b(psi) is psi read at the product world (w, b),
+which exists only where pre_b holds.  Each world has at most one such
+product world, so t_b commutes with every boolean connective and maps an
+atom to itself, a matching nominal to true and another to false.  A
+modality steps to the related events c (every event, for `U` and `E`):
+a universal one reads each t_c(phi) under `pre_c ->`, an existential one
+under `pre_c &`.  Every context that reads a t_b first states pre_b, so
+each precondition is stated once per product step and never inside it.
+One table (`_CONNECTIVES`) holds the clause of each connective.  The
+quantifier case routes through action nominals: the bound proposition is
+replaced by a disjunction of fresh propositions paired with nominals,
+one per event, guarded by conjuncts `U (f -> pre)` tying each fresh
 proposition to the corresponding precondition.  An announcement is the
 product update with one reflexive event whose precondition is the
 announced formula, so announcements reduce by the same table; only their
 leaf, nested-announcement and quantifier clauses are their own, the last
-guarded by the announced formula.  Greatest fixpoints are encoded with
-the propositional quantifier first.
+guarded by the announced formula.  A nested announcement is translated
+in full before it is relativised to the outer one.  Greatest fixpoints
+are encoded with the propositional quantifier first.
 
 Every recursive event-translation call strictly decreases the pair
 (quantifier count, size) lexicographically: the quantifier case trades
@@ -27,17 +36,17 @@ the unshared tree while the work follows the shared graph.
 
 Every output node is built through `build`, which folds boolean
 constants, and `[] true`, `<> false`, `U true` and `E false`, as the
-rules produce them: a `true` precondition, a
-mismatched nominal's `false` and what they decide leave nothing behind,
-so the evaluator spends no memo entry or call on them, and a fresh
-proposition read only by a dead branch takes no locality radius from
-it.  A fold that would skip an operand able to raise (a binder, nominal,
-event diamond or announcement) is not made.  Preconditions and
-announced formulas are copied verbatim, and the guards `U (f -> pre)`
-stay unfolded, since the evaluator reads them as guards; a guard whose
-precondition is `true` is left out, and a fresh binder whose proposition
-the folded body no longer reads is not emitted, nor is its guard, unless
-the precondition can raise.
+rules produce them: a `true` precondition, a mismatched nominal's
+`false` and what they decide leave nothing behind, so the evaluator
+spends no memo entry or call on them, and a fresh proposition read only
+by a dead branch takes no locality radius from it.  A fold that would
+skip an operand able to raise (a binder, nominal, event diamond or
+announcement) is not made.  Preconditions and announced formulas are
+copied verbatim, and the guards `U (f -> pre)` stay unfolded, since the
+evaluator reads them as guards; a guard whose precondition is `true` is
+left out, and a fresh binder whose proposition the folded body no longer
+reads is not emitted, nor is its guard, unless the precondition can
+raise.
 """
 
 from __future__ import annotations
@@ -166,20 +175,20 @@ def fold_constants(phi: Formula) -> Formula:
 
 
 # The reduction clause of each connective, read by both rewriters: the
-# rule name, whether the result is conjoined with the precondition, and
-# for a modality which events its body is rewritten under, those "related"
-# to the current one or "every" event.  An announcement is the product
-# update with one reflexive event whose precondition is the announced
-# formula, so its clauses are these with the rule names prefixed "ann-".
+# rule name and, for a modality, which events its body is rewritten under,
+# those "related" to the current one or "every" event.  An announcement is
+# the product update with one reflexive event whose precondition is the
+# announced formula, so its clauses are these with the rule names prefixed
+# "ann-".
 _CONNECTIVES = {
-    Not: ("negation", True, None),
-    And: ("conjunction", False, None),
-    Or: ("disjunction", False, None),
-    Implies: ("implication", True, None),
-    Box: ("box", True, "related"),
-    Diamond: ("diamond", True, "related"),
-    Global: ("global", True, "every"),
-    ExistsGlobal: ("somewhere", True, "every"),
+    Not: ("negation", None),
+    And: ("conjunction", None),
+    Or: ("disjunction", None),
+    Implies: ("implication", None),
+    Box: ("box", "related"),
+    Diamond: ("diamond", "related"),
+    Global: ("global", "every"),
+    ExistsGlobal: ("somewhere", "every"),
 }
 _UNIVERSAL = (Box, Global)
 # the nodes `build` folds
@@ -244,21 +253,19 @@ def _join(cls, parts) -> Formula:
     return out
 
 
-def _connect(psi: Formula, pre: Formula, parts: list) -> Formula:
+def _connect(psi: Formula, parts: list) -> Formula:
     """`psi`'s connective over its rewritten parts by its `_CONNECTIVES`
-    clause, under precondition `pre`, built through `build`.  A
-    modality's parts are (precondition, rewritten body) pairs, one per
-    event: a universal one guards each body with its precondition and
-    joins them with `&`, an existential one joins them with `|`."""
+    clause, built through `build`.  A modality's parts are (precondition,
+    rewritten body) pairs, one per event, and each body is read only where
+    its precondition holds: a universal modality guards it with `pre ->`
+    and joins them with `&`, an existential one with `pre &` and joins
+    them with `|`."""
     cls = type(psi)
-    _, guarded, scope = _CONNECTIVES[cls]
-    if scope is None:
-        out = build(cls, *parts)
-    elif cls in _UNIVERSAL:
-        out = _join(And, [build(cls, build(Implies, pre_b, body)) for pre_b, body in parts])
-    else:
-        out = _join(Or, [build(cls, body) for _, body in parts])
-    return build(And, pre, out) if guarded else out
+    if _CONNECTIVES[cls][1] is None:
+        return build(cls, *parts)
+    if cls in _UNIVERSAL:
+        return _join(And, [build(cls, build(Implies, pre, body)) for pre, body in parts])
+    return _join(Or, [build(cls, build(And, pre, body)) for pre, body in parts])
 
 
 def _measure(phi: Formula) -> tuple[int, int]:
@@ -300,10 +307,12 @@ def translate_event(
     prepared = expand_foralls(psi)
     if prepared is not psi:
         _record(steps, "expand-forall", alpha, psi)
-    return _tr_event(a, alpha, prepared, steps, measure_log, None, {})
+    return build(And, a.pre[alpha], _tr_event(a, alpha, prepared, steps, measure_log, None, {}))
 
 
 def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
+    """`psi` read at the product world (w, alpha) of a world w where
+    alpha's precondition holds: `<alpha> psi` is the precondition and this."""
     m = _measure(psi)
     if parent is not None:
         if log is not None:
@@ -317,26 +326,9 @@ def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
     if done is not None:
         return _replay(steps, done)
     start = None if steps is None else len(steps)
-    pre = a.pre[alpha]
     clause = _CONNECTIVES.get(type(psi))
-    if (
-        type(psi) is And
-        and isinstance(psi.left, (Atom, Top, Bottom))
-        and type(psi.right) is Nominal
-        and psi.right.index != a.index_of(alpha)
-        and not contains_node(pre, _RAISING)
-    ):
-        # `(pre & f) & false`, which `build` folds to false, as the
-        # quantifier clause's `f & j` gives under another event: the steps
-        # of both operands are recorded, and `pre & f` is never built
-        _record(steps, "conjunction", alpha, psi)
-        for c, rule in ((psi.left, "atom"), (psi.right, "nominal-mismatch")):
-            if log is not None:
-                log.append((m, _measure(c)))
-            _record(steps, rule, alpha, c)
-        out = BOTTOM
-    elif clause is not None:
-        rule, _, scope = clause
+    if clause is not None:
+        rule, scope = clause
         _record(steps, rule, alpha, psi)
         parts = []
         if scope is None:
@@ -347,14 +339,14 @@ def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
                 if scope == "every" or (alpha, b) in a.relation:
                     body = _tr_event(a, b, psi.body, steps, log, m, memo)
                     parts.append((a.pre[b], body))
-        out = _connect(psi, pre, parts)
+        out = _connect(psi, parts)
     elif isinstance(psi, (Atom, Top, Bottom)):
         _record(steps, "atom", alpha, psi)
-        out = build(And, pre, psi)
+        out = psi
     elif isinstance(psi, Nominal):
         if psi.index == a.index_of(alpha):
             _record(steps, "nominal-match", alpha, psi)
-            out = pre
+            out = TOP
         else:
             _record(steps, "nominal-mismatch", alpha, psi)
             out = BOTTOM
@@ -411,10 +403,12 @@ def translate_announcement(
             "announcement translation takes formulas without event or fixpoint nodes"
         )
     prepared = expand_foralls(psi)
-    return _tr_ann(announced, prepared, steps, {})
+    return build(And, announced, _tr_ann(announced, prepared, steps, {}))
 
 
 def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
+    """`psi` read in the model relativised to `a`, at a world where `a`
+    holds: `<!a> psi` is `a` and this."""
     key = (a, psi)
     done = memo.get(key)
     if done is not None:
@@ -422,7 +416,7 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
     start = None if steps is None else len(steps)
     clause = _CONNECTIVES.get(type(psi))
     if clause is not None:
-        rule, _, scope = clause
+        rule, scope = clause
         _record(steps, "ann-" + rule, a, psi)
         parts = []
         if scope is None:
@@ -430,10 +424,10 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
                 parts.append(_tr_ann(a, c, steps, memo))
         else:
             parts.append((a, _tr_ann(a, psi.body, steps, memo)))
-        out = _connect(psi, a, parts)
+        out = _connect(psi, parts)
     elif isinstance(psi, (Atom, Top, Bottom, Nominal)):
         _record(steps, "ann-atom", a, psi)
-        out = build(And, a, psi)
+        out = psi
     elif isinstance(psi, ExistsProp):
         var, body = psi.var, psi.body
         if var in free_props(a):
@@ -449,7 +443,7 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
         # rewrite the inner announcement first; the equivalence it produces
         # holds in every model, the relativised one included
         _record(steps, "ann-nested", a, psi)
-        inner = _tr_ann(psi.announced, psi.body, steps, memo)
+        inner = build(And, psi.announced, _tr_ann(psi.announced, psi.body, steps, memo))
         out = _tr_ann(a, inner, steps, memo)
     else:
         raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")

@@ -497,8 +497,10 @@ class TestWorkCounters:
         chi = translate_event(two_events(), "a0", parse_formula("exists r. (r & <> ~r)"))
         ev = Evaluator(three_cycle())
         assert ev.extension(chi) == {"w0", "w1", "w2"}
-        # a block of the pointed _f0, a conjunct, and _f1, under a diamond
-        assert self.counters(ev) == (7, 91, 0, 0)
+        # a block of the pointed _f0, a conjunct, and _f1, under a diamond;
+        # the relativised rewrite states each precondition once per
+        # product step, so fewer subformulas are memoised (91 before)
+        assert self.counters(ev) == (7, 73, 0, 0)
 
     def test_translated_n12(self):
         # nesting each block of three fresh props took 264,033 subsets
@@ -533,7 +535,8 @@ def n_family(n):
     )
 
 
-# whether each binder of the `exists` chain is pointed, outermost first
+# whether each binder of the `exists` (or `forall`) chain is pointed,
+# outermost first
 POINTED = {
     # r a conjunct under an inner `exists s.`, and under an inner `exists
     # r.` that shadows it
@@ -548,7 +551,34 @@ POINTED = {
     # p is a precondition prop, so it has no radius; r has radius 1
     "exists p. (p & <a1> [] q)": [False],
     "exists r. (r & <a1> [] ~r)": [True],
+    # `~(r -> C)` is `r & ~C`, and `forall r. (A -> C)` with r a conjunct of
+    # A holds at every world outside the witness
+    "exists r. ~(r -> <> [] r)": [True],
+    "exists r. ~((q & r) -> <> r)": [True],
+    "forall r. ((q & r) -> <> r)": [True],
+    "forall r. (<> r -> r)": [False],
+    "forall r. (r | <> ~r)": [False],
+    # under U r has no radius; `U (r -> q)` is no guard of a `forall`
+    "forall r. (r -> U (q -> r))": [False],
+    "forall r. ((r & U (r -> q)) -> <> r)": [False],
 }
+
+# the three spellings of one universal formula, which each tick 392 times
+# on `ten_worlds()`, and 576 for the first two when a `forall` and `~(A ->
+# B)` under `exists` were not pointed
+UNIVERSAL_FORMS = (
+    "forall r. (r -> <> [] r)",
+    "~ (exists r. ~(r -> <> [] r))",
+    "~ (exists r. (r & ~<> [] r))",
+)
+
+
+def ten_worlds():
+    """A random 10-world model, edges row-major with probability 0.3."""
+    rng = random.Random(3)
+    worlds = tuple(f"w{i}" for i in range(10))
+    relation = frozenset((u, v) for u in worlds for v in worlds if rng.random() < 0.3)
+    return KripkeModel(worlds, relation, {})
 
 
 class TestNeighbourhoodEnumeration:
@@ -714,8 +744,13 @@ class TestNeighbourhoodEnumeration:
             "exists r. exists s. (U (s -> r) & <> s & ~r)",
             "exists r. exists s. exists r. (<> r & s)",
             # pointed binders and, among them, a bound precondition prop
-            # (see `test_pointed`)
+            # (see `test_pointed`), and the rewriter's expansion of
+            # `forall r. (r -> <> [] r)` above (`UNIVERSAL_FORMS`); the
+            # third form, pointed before, tries other witnesses than the
+            # flat reference at the same ticks and memoises 27 entries to
+            # its 24 here, so it is checked in `test_universal_forms`
             *POINTED,
+            UNIVERSAL_FORMS[1],
         ],
     )
     def test_hand_cases(self, monkeypatch, text):
@@ -727,10 +762,20 @@ class TestNeighbourhoodEnumeration:
         # each binder of the `exists` chain, outermost first
         ev = Evaluator(three_cycle(), events=two_events())
         phi, flags = parse_formula(text), []
-        while isinstance(phi, ExistsProp):
+        while isinstance(phi, (ExistsProp, ForallProp)):
             flags.append(ev._scan(phi)[2])
             phi = phi.body
         assert flags == POINTED[text]
+
+    @pytest.mark.parametrize("text", UNIVERSAL_FORMS)
+    def test_universal_forms(self, monkeypatch, text):
+        # only the witnesses holding w can falsify the body at w, on both
+        # routes: the `forall` and its expansion by the rewriter
+        phi = parse_formula(text)
+        self.cross_check(monkeypatch, lambda: Evaluator(ten_worlds()), phi)
+        ev = Evaluator(ten_worlds())
+        assert ev.extension(phi) == {"w5", "w6"}
+        assert ev._work.ticks == 392
 
     def test_bound_precondition_props(self, monkeypatch):
         # p is a precondition prop of both events, so an event diamond in

@@ -468,10 +468,12 @@ class TestHashConsing:
         monkeypatch.setattr(syntax, "_Facts", counting)
         out = translate_event(E3, "a0", tower)
         dag = _distinct_nodes(out)
-        assert formula_size(out) == 32678
-        assert len(dag) == 91
+        assert formula_size(out) == 24783
+        assert len(dag) == 77
         # the output's distinct nodes, and the ten of the nominal-tagged
-        # body that the quantifier clause rewrites but does not output
+        # body that the quantifier clause rewrites but does not output: the
+        # nominals j0..j2, the three `f & j`, the two `|` joining them, and
+        # `<> tagged` and `tagged & <> tagged`, the body with r substituted
         assert 0 < len(built) <= len(dag) + 10
         assert all(hasattr(f, "_facts") for f in dag)
 

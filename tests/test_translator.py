@@ -81,15 +81,14 @@ class TestNominalRules:
 class TestQuantifierRule:
     def test_transcript_shape(self):
         # j1 does not match a0, so its disjunct folds away; then _f1 occurs
-        # nowhere, and its guard, with precondition true, is left out
+        # nowhere, and its guard, with precondition true, is left out.  j0
+        # matches, so `_f0 & j0` is _f0, and a0's precondition q is stated
+        # once, at the top
         a = two_event_model()
         chi = translate_event(a, "a0", ExistsProp("p", p))
-        expected = ExistsProp(
-            "_f0",
-            And(Global(Implies(Atom("_f0"), q)), And(And(q, Atom("_f0")), q)),
-        )
+        expected = And(q, ExistsProp("_f0", And(Global(Implies(Atom("_f0"), q)), Atom("_f0"))))
         assert chi == expected
-        assert print_formula(chi) == "exists _f0. (U (_f0 -> q) & ((q & _f0) & q))"
+        assert print_formula(chi) == "(q & (exists _f0. (U (_f0 -> q) & _f0)))"
 
     def test_transcript_equivalence_exhaustive(self):
         # <a0> exists p. p is equivalent to q (the a0 precondition) on
@@ -163,15 +162,22 @@ class TestTranslateAnnouncement:
     def test_quantifier_clause_shape(self):
         announced = q
         out = translate_announcement(announced, ExistsProp("p", Box(p)))
-        assert isinstance(out, ExistsProp) and out.var == "p"
-        guard, rest = out.body.left, out.body.right
+        # the announced formula, then the binder with its guard first
+        assert isinstance(out, And) and out.left == announced
+        binder = out.right
+        assert isinstance(binder, ExistsProp) and binder.var == "p"
+        guard, rest = binder.body.left, binder.body.right
         assert guard == Global(Implies(p, q))
+        assert rest == Box(Implies(q, p))
 
     def test_quantifier_clause_renames_on_capture(self):
         announced = p
         out = translate_announcement(announced, ExistsProp("p", Box(p)))
-        assert isinstance(out, ExistsProp)
-        assert out.var != "p"
+        assert isinstance(out, And) and out.left == announced
+        binder = out.right
+        assert isinstance(binder, ExistsProp)
+        assert binder.var != "p"
+        assert binder.body.left == Global(Implies(Atom(binder.var), p))
 
     def test_top_announcement_is_transparent(self):
         cfg = FuzzConfig(seed=43, cases=1)
@@ -403,24 +409,24 @@ class TestFoldedOutput:
             (
                 "<a0> (exists r. (r & <> ~r & j0))",
                 "exists _f0. exists _f1. (U (_f1 -> p) & "
-                "(_f0 & (<> ~_f0 | <> (p & ~((p & _f1) & p)))))",
+                "(_f0 & (<> ~_f0 | <> (p & ~_f1))))",
             ),
             # the `[] (r | j0)` conjunct holds at once, since j0 matches a0
-            # and a0's precondition is true, so _f0 is not read under it,
-            # and `p & [] true` folds to p
+            # and a0's precondition is true, so _f0 is not read under it;
+            # a1's precondition p is stated once, at the top
             (
                 "<a1> (exists r. (r & <> ~r & [] (r | j0)))",
-                "exists _f0. exists _f1. (U (_f1 -> p) & "
-                "((((p & _f1) & p) & (p & <> ~_f0)) & p))",
+                "(p & (exists _f0. exists _f1. (U (_f1 -> p) & (_f1 & <> ~_f0))))",
             ),
             # an announcement's binder goes with the guard `U (r -> p)`
             # when the body it conjoins folds to false
             ("<!p> (exists r. false)", "false"),
             ("<!p> (exists r. (r & false))", "false"),
-            # an announced binder can raise, so `a & false` and the guard stay
+            # an announced binder can raise, so `a & false`, the binder
+            # and its guard stay
             (
                 "<!(exists s. s)> (exists r. false)",
-                "exists r. (U (r -> (exists s. s)) & ((exists s. s) & false))",
+                "((exists s. s) & (exists r. (U (r -> (exists s. s)) & false)))",
             ),
         ],
     )
@@ -429,14 +435,46 @@ class TestFoldedOutput:
         assert print_formula(eliminate_all(self.TWO_EVENTS, parse_formula(text)).output) == rewrite
 
     def test_raising_precondition_is_not_absorbed(self):
-        # under a0, `_f1 & j1` is `((exists s. s) & _f1) & false`, which
-        # keeps the binder that could raise
+        # a0's precondition can raise, so it stays at the top, where
+        # `<a0>` states it, and in _f0's guard; under a0, `_f1 & j1` is
+        # `_f1 & false`, which folds away, and _f1 with it, since its own
+        # precondition p cannot raise
         pre = {"a0": parse_formula("exists s. s"), "a1": p}
         a = EventModel(("a0", "a1"), frozenset({("a0", "a0")}), pre)
         assert print_formula(eliminate_all(a, parse_formula("<a0> (exists r. r)")).output) == (
-            "exists _f0. exists _f1. (U (_f0 -> (exists s. s)) & (U (_f1 -> p) & "
-            "((((exists s. s) & _f0) & (exists s. s)) | (((exists s. s) & _f1) & false))))"
+            "((exists s. s) & (exists _f0. (U (_f0 -> (exists s. s)) & _f0)))"
         )
+
+    @pytest.mark.parametrize(
+        "text,rewrite",
+        [
+            # no clause inside a product step restates the precondition
+            ("<a1> ~q", "(p & ~q)"),
+            ("<a1> (q -> r)", "(p & (q -> r))"),
+            # a matching nominal is true
+            ("<a1> j1", "p"),
+            # a modality guards each event's body with its precondition
+            ("<!p> [] q", "(p & [] (p -> q))"),
+            # a nested announcement is translated in full, then relativised
+            ("<!p> <!q> r", "(p & (q & r))"),
+            # model-check's announcement template; its event templates are
+            # pinned in `test_printed_rewrites`
+            (
+                "<!p> (exists r. (r & [] r & <> q))",
+                "(p & (exists r. (U (r -> p) & ((r & [] (p -> r)) & <> (p & q)))))",
+            ),
+        ],
+    )
+    def test_relativised_rules(self, text, rewrite):
+        phi = parse_formula(text)
+        out = eliminate_all(self.TWO_EVENTS, phi).output
+        assert print_formula(out) == rewrite
+        m = KripkeModel(
+            ("w0", "w1", "w2"),
+            frozenset({("w0", "w1"), ("w1", "w2"), ("w2", "w0"), ("w2", "w2")}),
+            {"p": frozenset({"w0", "w2"}), "q": frozenset({"w1", "w2"}), "r": frozenset({"w2"})},
+        )
+        assert extension(m, out) == extension(m, phi, events=self.TWO_EVENTS)
 
     @pytest.mark.parametrize(
         "pre,relation,rewrite",
