@@ -1,51 +1,58 @@
 """Exhaustive model checking over finite (tagged) models.
 
-Quantifiers try witness subsets from one list per guard, radius and
-pointedness, the universal modality checks the whole domain, event
-diamonds evaluate their body in a product session and announcements in
-a relativised one, and the greatest fixpoint is computed by descending
-iteration.  World sets are integer bitmasks, and a child session is
-built from its parent's masks, in index space, without naming a model.
+Quantifiers search witness subsets a world at a time, the universal
+modality checks the whole domain, event diamonds evaluate their body in
+a product session and announcements in a relativised one, and the
+greatest fixpoint is computed by descending iteration.  World sets are
+integer bitmasks, and a child session is built from its parent's masks,
+in index space, without naming a model.
 
 A quantifier does not always need every subset of the domain.  One
-static scan of each binder's body, cached for the session tree, finds:
+static scan of each binder's body, cached for the session tree, reads
+the conjuncts of an `exists` body, or of the antecedent A of `forall r.
+(A -> C)` (`~(A -> C)` is read as `A & ~C` there), and finds:
 
-- the `U (p -> A)` guard conjuncts of an `exists` (`U ~p` is one with A
-  false): subsets outside the extension of A falsify the guard outright,
-  so only subsets of that extension are tried;
+- the `U (r -> B)` guard conjuncts (`U ~r` is one with B false): a
+  subset outside the extension of B falsifies the guard outright, so
+  only subsets of that extension are tried;
+- the ceiling, the conjuncts free of r and of every binder passed, and
+  holding no binder, event diamond or announcement (so evaluating one
+  never raises or ticks; a nominal is used only where the session
+  resolves it).  The body holds only inside the ceiling, so an `exists`
+  is false outside it without a witness, and a `forall` true there (its
+  floor): `forall r. (A -> C)` and its expansion `~ exists r. ~(A -> C)`
+  search the same worlds;
 - the binder's locality radius d, the deepest box or diamond nesting
   above a free occurrence of its variable.  The body's truth at a world w
   then depends on the variable only within N_d(w), the worlds reachable
-  from w in at most d steps, so the subsets tried are, world by world,
-  those of the guard lying within N_d(w), each once: every witness
-  agrees on N_d(w) with one of them.  There is no radius when an
-  occurrence sits under `U`, `E` or `nu`, in an announced formula, or
-  under an event diamond when the variable is a precondition prop.  Then
-  every subset of the guard is tried, in ascending order;
-- whether the binder is pointed: an `exists` with a radius whose variable
-  is itself a conjunct where guards are looked for, as in `exists r. (r &
-  C)` or `exists r. ~(r -> C)` (`~(A -> C)` is read as `A & ~C` there).
-  Its body then implies the variable, B(x) <= x, so the body holds at w
-  only for witnesses holding w, and world w tries only those: none when
-  w is outside the guard.  Dually, `forall r. (A -> C)` with a radius and
-  r a conjunct of A holds at every world outside its witness, so only
-  witnesses holding w can falsify it at w.
+  from w in at most d steps, so world w tries only the subsets of the
+  guard within N_d(w): every witness agrees on N_d(w) with one of them.
+  There is no radius when an occurrence sits under `U`, `E` or `nu`, in
+  an announced formula, or under an event diamond when the variable is
+  a precondition prop.  Then every world tries every subset of the guard;
+- the binder's sign, with a radius: r itself as a conjunct makes the body
+  imply r, so only witnesses holding w decide w (the binder is pointed,
+  and a world outside the guard is decided at once), and ~r as a
+  conjunct makes only witnesses missing w decide it.
 
-It also picks out the rewriter's two binder shapes (`_shape`).  A block
-`exists f0. exists f1. ...`, one fresh prop per event, is enumerated
-jointly, not nested: world by world, each tuple of its members'
-witnesses within N_{d_i}(w) once, those of pointed members holding w.
-A lone `exists` is a block of one, and `forall` tries the same
-witnesses with the whole domain as guard (a quantifier
+The search (`_eval_block`) decides one world at a time.  The worlds left
+are grouped by the part they would search, a group tries the submasks of
+its part in ascending order only until each of its worlds is decided,
+and a group already decided is skipped; no witness is tried twice in
+one evaluation.  If no world has a part, the all-empty witness is tried
+once, so the body is still evaluated.  The submasks are built one at a
+time, never listed, so the early exits and the subset budget bound the
+memory too.
+
+The scan also picks out the rewriter's two binder shapes (`_shape`).  A
+block `exists f0. exists f1. ...`, one fresh prop per event, is searched
+jointly, not nested: a world's part is then a tuple, one part per
+member.  A lone `exists` or `forall` is a block of one.  A quantifier
 whose body does not depend on its variable is its body, and its domain
 goes unchecked: the variable is not free there, nor a precondition prop
-under an event diamond); each list is kept per session and grows from
-lazily built submasks, at most doubling, only when it is read past its
-end (`_witnesses`).  If no world lists a witness, the all-empty tuple
-is tried once, so the body is still evaluated.
-`exists x. (x & U (x -> B))`, the encoding of `nu x. B`, holds on the
-union of the X <= B(X), the greatest fixpoint (Knaster-Tarski), so it is
-iterated instead of enumerated.
+under an event diamond.  `exists x. (x & U (x -> B))`, the encoding of
+`nu x. B`, holds on the union of the X <= B(X), the greatest fixpoint
+(Knaster-Tarski), so it is iterated instead of enumerated.
 
 A node's deps are its free props, sorted once in its facts, plus the
 precondition props when it holds an event diamond.  Every subformula's
@@ -106,6 +113,9 @@ _MEMO_ARITY_CAP = 3
 _NONLOCAL = frozenset({Global, ExistsGlobal, Nu, Announce})
 _BINDER_WORDS = {ExistsProp: "exists", ForallProp: "forall", Nu: "nu"}
 _EVENT_BIT = _KIND_BIT[ActionDiamond]
+_NOMINAL_BIT = _KIND_BIT[Nominal]
+# a conjunct holding one of these could raise or tick, so it bounds no search
+_NO_CEILING = sum(_KIND_BIT[k] for k in (ExistsProp, ForallProp, Nu, ActionDiamond, Announce))
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,18 @@ def _submask_tuples(parts: tuple):
     )
 
 
+def _nominals_read(f: Formula) -> int:
+    """One more than the highest nominal index in `f`, 0 with none."""
+    top, stack = 0, [f]
+    while stack:
+        g = stack.pop()
+        if g._facts.kinds & _NOMINAL_BIT:
+            if type(g) is Nominal:
+                top = max(top, g.index + 1)
+            stack.extend(children(g))
+    return top
+
+
 class _Work:
     __slots__ = ("ticks",)
 
@@ -164,13 +186,13 @@ class Evaluator:
     of its deps, read from its facts (for a node holding an event
     diamond, from a table the session tree shares), and calls the handler
     of the node's kind.  A node is memoised while at most
-    `_MEMO_ARITY_CAP` of its deps are bound.  A quantifier tries only
-    the witnesses that its guard and its radius leave, world by world,
-    and, when it is pointed, only those holding the world, from one list
-    per tuple of (guard, radius, pointed) cached for the session; a lone
-    `exists` is a block of one, and the nu encoding is iterated (see the
-    module docstring).  `events` supplies the ambient event model that
-    event diamonds and nominals refer to.
+    `_MEMO_ARITY_CAP` of its deps are bound.  A quantifier searches
+    only the worlds inside its ceiling (outside a `forall`'s floor), each
+    only until it is decided, and tries for it only the witnesses that its
+    guard, its radius and its sign leave; a lone `exists` or `forall` is a
+    block of one, and the nu encoding is iterated (see the module
+    docstring).  `events` supplies the ambient event model that event
+    diamonds and nominals refer to.
 
     With `_pairs`, `model` is the parent session and the new session is
     its child over the listed (parent world index, event) pairs: the
@@ -228,10 +250,13 @@ class Evaluator:
             self.succ = [self._from_parent(parent.succ[i]) & reach[e] for i, e in _pairs]
         self.n = len(self.worlds)
         self.full = (1 << self.n) - 1
+        # the nominals below this index resolve here (see `_eval_nominal`)
+        self._nominals = (
+            len(self.events.events) if self.tag_mask and self.events is not None else 0
+        )
         self._memo: dict = {}
         self._products: dict = {}
         self._relativised: dict = {}
-        self._witness_lists: dict = {}
         self._hoods: dict = {}
 
     # -- mask plumbing -------------------------------------------------
@@ -272,74 +297,6 @@ class Evaluator:
                 f"enumerating `{_BINDER_WORDS[type(binder)]} {binder.var}`: "
                 f"{self._work.ticks - 1} subsets tried so far"
             )
-
-    def _witnesses(self, members: tuple):
-        """The witness tuples of binders with guard masks guard_i, radii d_i
-        and pointed flags, `members` listing the (guard_i, d_i, pointed_i):
-        for each world w in turn, each tuple of submasks of guard_i &
-        N_{d_i}(w) (of guard_i when d_i is None), holding w where member i
-        is pointed, that no earlier world listed.  Cutting each witness of
-        a tuple that holds at w down to its N_{d_i}(w) keeps it one, and a
-        pointed member's witness must hold w for the body to.  A lone
-        binder's witnesses are listed as masks, not 1-tuples.  The all-empty
-        tuple is listed when no world is, on an empty domain too, so the
-        body is evaluated once.
-
-        The list is cached per session and yielded a stretch at a time.  It
-        grows, at most doubling, only when a caller reads past its end: a
-        block's list can hold 2^(k |guard|) tuples, so the subset budget and
-        an early exit must bound how much of it is built."""
-        entry = self._witness_lists.get(members)
-        if entry is None:
-            candidates = itertools.chain.from_iterable(self._witness_parts(members))
-            entry = self._witness_lists[members] = ([], [candidates, set()])
-        listed, growing = entry  # growing: the candidates left and `listed` as a set
-        i = 0
-        while i < len(listed) or growing:
-            if i == len(listed):
-                candidates, seen = growing
-                want = max(i, 256)  # at least 256, at most doubling the list
-                taken = list(itertools.islice(candidates, want))
-                # one part's tuples are distinct; another's may repeat them
-                new = list(itertools.filterfalse(seen.__contains__, dict.fromkeys(taken)))
-                seen.update(new)
-                if len(taken) < want:
-                    growing.clear()
-                listed.extend(new)
-            else:
-                # by index: a nested read of the same list may grow it meanwhile
-                j = len(listed)
-                yield itertools.islice(listed, i, j)
-                i = j
-
-    def _witness_parts(self, members: tuple):
-        """For each world w in turn, the tuples of submasks of its parts
-        guard_i & N_{d_i}(w) that hold w where member i is pointed, each
-        part a (mask, base) pair for `_submasks`.  A world outside a
-        pointed member's guard has none.  Without a pointed member, parts
-        that another world's parts hold are skipped."""
-        per_member = []
-        for guard, radius, pointed in members:
-            parts = [guard] * self.n if radius is None else [guard & h for h in self._hood(radius)]
-            per_member.append([
-                (part & ~(1 << i), 1 << i) if guard >> i & 1 else None
-                for i, part in enumerate(parts)
-            ] if pointed else [(part, 0) for part in parts])
-        listed = [part for part in dict.fromkeys(zip(*per_member)) if None not in part]
-        # a pointed part's witnesses hold its world, which those of a
-        # part it lies within need not, so only unpointed parts are skipped
-        skip_dominated = not any(pointed for *_, pointed in members)
-        missed = []  # the complement of each world's parts so far, packed
-        for part in listed or [((0, 0),) * len(members)]:
-            if skip_dominated:
-                packed = 0
-                for x, _ in part:
-                    packed = packed << self.n | x
-                # parts within those of a world already taken add no tuple
-                if 0 in map(packed.__and__, missed):
-                    continue
-                missed.append(~packed)
-            yield _submask_tuples(part) if len(part) > 1 else _submasks(*part[0])
 
     def _hood(self, radius: int) -> list[int]:
         """N_radius(w) for each world w: the worlds reachable from w in at
@@ -469,20 +426,24 @@ class Evaluator:
 
     def _scan(self, phi: ExistsProp | ForallProp) -> tuple:
         """The binder's guard bodies, its locality radius (None when it has
-        none; see the module docstring), whether it is pointed and its fast
+        none; see the module docstring), its sign, its ceiling and its fast
         path, from one walk: `_eval_vacuous` when its body does not depend
         on var, else `_shape`.
 
-        Guards (`exists` only) are found through conjunctions and through
-        intermediate `exists` of other variables: a guard conjunct that
-        mentions no intervening binder falsifies the whole inner body for
-        oversized witnesses regardless of the inner choices.  Where guards
-        are looked for, var itself as a conjunct makes the body imply var,
-        so an `exists` with a radius is pointed: its witness holds the
-        world it is tried for.  `~(A -> B)` there is read as `A & ~B`.  A
-        `forall var. (A -> B)` looks for var in A the same way, and no
-        guards: with var a conjunct of A it holds outside its witness, so
-        with a radius it is pointed too.
+        Guards, var as a conjunct and the ceiling are looked for on the
+        guard path: through conjunctions and through intermediate `exists`
+        of other variables, in the body of an `exists` and in the
+        antecedent A of `forall var. (A -> B)`; `~(A -> B)` there is read
+        as `A & ~B`.  A guard conjunct that mentions no intervening binder
+        falsifies the whole inner body for oversized witnesses regardless
+        of the inner choices.  The sign, with a radius, is 1 (pointed) when
+        var itself is such a conjunct, so that only witnesses holding a
+        world decide it, else -1 when ~var is one, so that only witnesses
+        missing it do, else 0.  The ceiling is the conjuncts free of var
+        and of every binder passed, each with one more than its highest
+        nominal index (`_nominals_read`); one holding a binder, an event
+        diamond or an announcement is left out, since it could raise or
+        tick.
 
         Under U, E, nu or in an announced formula, truth at a world can
         depend on var at any distance.  So can an event diamond anywhere
@@ -497,15 +458,15 @@ class Evaluator:
             return got
         var = phi.var
         bodies: list[Formula] = []
-        radius, pointed = 0, False
+        ceiling: list[tuple[Formula, int]] = []
+        # the signs of var found as a conjunct where guards are looked for
+        radius, signs = 0, set()
         if var in self._pre_props and contains_node(phi.body, ActionDiamond):
             radius = None
         # (node, modal depth, binders passed on the guard path, or None off it)
-        exists = type(phi) is ExistsProp
-        if exists:
+        if type(phi) is ExistsProp:
             stack = [(phi.body, 0, frozenset())]
         elif type(phi.body) is Implies:
-            # `forall var. (A -> B)`: var as a conjunct of A points it
             stack = [(phi.body.left, 0, frozenset()), (phi.body.right, 0, None)]
         else:
             stack = [(phi.body, 0, None)]
@@ -515,11 +476,15 @@ class Evaluator:
         while stack:
             f, depth, shadowed = stack.pop()
             if var not in f._facts.free:
+                if shadowed is not None and not (
+                    f._facts.free & shadowed or f._facts.kinds & _NO_CEILING
+                ):
+                    ceiling.append((f, _nominals_read(f)))
                 continue
             cls = type(f)
             if shadowed is not None:
-                if cls is Atom:
-                    pointed = True
+                if cls is Atom or (cls is Not and type(f.body) is Atom):
+                    signs.add(1 if cls is Atom else -1)
                 elif cls is And:
                     stack.append((f.left, depth, shadowed))
                     stack.append((f.right, depth, shadowed))
@@ -532,7 +497,7 @@ class Evaluator:
                     stack.append((f.body.left, depth, shadowed))
                     stack.append((f.body.right, depth, None))
                     continue
-                elif exists and cls is Global and type(f.body) in (Implies, Not):
+                elif cls is Global and type(f.body) in (Implies, Not):
                     # U (var -> A), or U ~var, which is U (var -> false)
                     g = f.body
                     head, rhs = (g.left, g.right) if type(g) is Implies else (g.body, BOTTOM)
@@ -555,23 +520,24 @@ class Evaluator:
             else:
                 for part in children(f):
                     stack.append((part, depth, None))
-        # with no radius each world would try every witness anyway
-        pointed = pointed and radius is not None
+        # with no radius each world would try every witness anyway; with
+        # both signs the body never holds, and either one is exact
+        sign = 0 if radius is None or not signs else max(signs)
         # with var not free the walk reads nothing, so no radius there
         # means a precondition prop that an event diamond's product reads
         if var not in phi.body._facts.free and radius is not None:
             shape = Evaluator._eval_vacuous, None
-        elif exists:
-            shape = self._shape(phi, (bodies, radius, pointed))
+        elif type(phi) is ExistsProp:
+            shape = self._shape(phi, (bodies, radius, sign), ceiling)
         else:
             shape = None
-        return self._scans.setdefault(phi, (bodies, radius, pointed, shape))
+        return self._scans.setdefault(phi, (bodies, radius, sign, ceiling, shape))
 
-    def _shape(self, phi: ExistsProp, member: tuple):
+    def _shape(self, phi: ExistsProp, member: tuple, ceiling: list):
         """(handler, argument) of `phi`'s fast path, or None: the nu encoding
         with B positive in x and free of dynamic operators, or the head of a
         block whose members all have a radius.  `member` is `phi`'s
-        (guard bodies, radius, pointed)."""
+        (guard bodies, radius, sign), and its ceiling the block's."""
         var, body = phi.var, phi.body
         match body:
             case And(right=Global(body=Implies(right=rhs))) if phi is nu_encoding(var, rhs):
@@ -589,7 +555,7 @@ class Evaluator:
         if len(names) > 1 and var in phi.body._facts.free and all(
             radius is not None for _, radius, _ in members
         ):
-            return Evaluator._eval_block, (names, members, body)
+            return Evaluator._eval_block, (names, members, body, ceiling)
         return None
 
     def _guard(self, bodies: list[Formula], env: dict) -> int:
@@ -598,56 +564,82 @@ class Evaluator:
             guard &= self._eval(rhs, env)
         return guard
 
-    def _eval_exists(self, phi: ExistsProp, env: dict) -> int:
-        *member, shape = self._scan(phi)
+    def _eval_quantifier(self, phi: ExistsProp | ForallProp, env: dict) -> int:
+        bodies, radius, sign, ceiling, shape = self._scan(phi)
         if shape is not None:
             return shape[0](self, phi, env, shape[1])
-        return self._eval_block(phi, env, ((phi.var,), (member,), phi.body))
-
-    def _eval_forall(self, phi: ForallProp, env: dict) -> int:
-        _, radius, pointed, shape = self._scan(phi)
-        if shape is not None:
-            return shape[0](self, phi, env, shape[1])
-        self._check_quantifier_domain()
-        result = self.full
-        sub_env = dict(env)
-        for chunk in self._witnesses(((self.full, radius, pointed),)):
-            for x in chunk:
-                self._tick(phi)
-                sub_env[phi.var] = x
-                result &= self._eval(phi.body, sub_env)
-                if result == 0:
-                    return result
-        return result
+        member = (bodies, radius, sign)
+        return self._eval_block(phi, env, ((phi.var,), (member,), phi.body, ceiling))
 
     def _eval_vacuous(self, phi: ExistsProp | ForallProp, env: dict, _) -> int:
         """The body: a binder that enumerates nothing leaves its domain
         unchecked, like the rewrite that drops it."""
         return self._eval(phi.body, env)
 
-    def _eval_block(self, phi: ExistsProp, env: dict, block) -> int:
-        """The block's witness tuples (`_witnesses`) within its members'
-        guards, one tick each, until the result is the whole domain."""
+    def _eval_block(self, phi: ExistsProp | ForallProp, env: dict, block) -> int:
+        """Decide a block of `exists`, or a lone `exists` or `forall` as a
+        block of one, a world at a time, one tick per witness tuple tried.
+
+        Only the worlds inside the ceiling are searched (for `forall`, the
+        worlds outside its floor), and of those only the ones inside each
+        pointed member's guard; the rest are decided.  They are grouped by
+        their part, per member guard_i & N_{d_i}(w) (guard_i when d_i is
+        None), holding w where member i's sign is 1 and missing w where it
+        is -1.  Each group tries the tuples of submasks of its part until
+        all its worlds are decided, and a group already decided is skipped;
+        `tried` keeps any tuple from being tried twice.  `forall` collects
+        the worlds each witness falsifies.  When no world has a part, the
+        all-empty tuple is tried once (as a group that is never decided),
+        on an empty domain too, so the body is still evaluated."""
         self._check_quantifier_domain()
-        names, members, body = block
-        key = tuple(
-            (self._guard(bodies, env), radius, pointed) for bodies, radius, pointed in members
-        )
+        names, members, body, ceiling = block
+        members = [
+            (self._guard(bodies, env), None if radius is None else self._hood(radius), sign)
+            for bodies, radius, sign in members
+        ]
+        # the worlds left to decide: inside each pointed member's guard
+        # and the ceiling, evaluated only while some world is left
+        todo = self.full
+        for guard, _, sign in members:
+            if sign > 0:
+                todo &= guard
+        for f, nominals in ceiling:
+            if todo and nominals <= self._nominals:
+                todo &= self._eval(f, env)
+        groups: dict = {}
+        for i in range(self.n):
+            bit = 1 << i
+            if not todo & bit:
+                continue
+            part = []
+            for guard, hood, sign in members:
+                mask = guard if hood is None else guard & hood[i]
+                part.append((mask & ~bit, bit) if sign > 0 else (mask & ~bit if sign else mask, 0))
+            part = tuple(part)
+            groups[part] = groups.get(part, 0) | bit
+        # what a witness decides: the worlds where the body holds, or
+        # for `forall` where it fails
+        flip = self.full if type(phi) is ForallProp else 0
+        found, tried = 0, set()
         sub_env = dict(env)
-        result = 0
         # binding a lone binder's variable directly beats update(zip(...))
         var = names[0] if len(names) == 1 else None
-        for chunk in self._witnesses(key):
-            for xs in chunk:
+        for part, worlds in (groups or {((0, 0),) * len(names): -1}).items():
+            if not worlds & ~found:
+                continue
+            for xs in _submasks(*part[0]) if var is not None else _submask_tuples(part):
+                if xs in tried:
+                    continue
+                tried.add(xs)
                 self._tick(phi)
                 if var is None:
                     sub_env.update(zip(names, xs))
                 else:
                     sub_env[var] = xs
-                result |= self._eval(body, sub_env)
-                if result == self.full:
-                    return result
-        return result
+                found |= self._eval(body, sub_env) ^ flip
+                if not worlds & ~found:
+                    break
+        return found ^ flip
 
     def _eval_nu(self, phi: Nu | ExistsProp, env: dict, body: Formula | None = None) -> int:
         """Descending iteration from the full set, of `nu x. B` or, given
@@ -735,8 +727,8 @@ _HANDLERS = {
     ExistsGlobal: Evaluator._eval_exists_global,
     Top: Evaluator._eval_top,
     Bottom: Evaluator._eval_bottom,
-    ExistsProp: Evaluator._eval_exists,
-    ForallProp: Evaluator._eval_forall,
+    ExistsProp: Evaluator._eval_quantifier,
+    ForallProp: Evaluator._eval_quantifier,
     Nu: Evaluator._eval_nu,
     Nominal: Evaluator._eval_nominal,
     ActionDiamond: Evaluator._eval_action,

@@ -40,6 +40,7 @@ from produpd import (
     product_update,
     relativise,
     run_fuzz,
+    singleton_point_schema,
     translate_event,
     with_valuation,
 )
@@ -51,6 +52,7 @@ from produpd.harness import (
     random_model,
 )
 from produpd.models import pair_world
+from produpd import semantics
 from produpd.semantics import Evaluator
 from produpd.syntax import LanguageTag, contains_node
 from test_rewrite_outcomes import family_cases
@@ -243,9 +245,12 @@ class TestErrors:
         # the message names the binder that hit the limit and the work done.
         # A block is enumerated jointly and named by its first binder: the
         # 8 triples within w0, then the 7 new ones within w1, so the 11th
-        # tuple tried is one of w1's (no member is pointed: with body
-        # `p & q & r` each world would try only the triple that holds it)
-        block = parse_formula("exists p. exists q. exists r. (p | q | r)")
+        # tuple tried is one of w1's.  The body is false everywhere, so no
+        # world is decided early, and every conjunct names a member, so no
+        # ceiling decides one (with `p | q | r` each world would stop at
+        # its second triple, and with `p & q & r` try only the one that
+        # holds it)
+        block = parse_formula("exists p. exists q. exists r. (~(p | q | r) & (p | q | r))")
         with pytest.raises(BudgetExceeded) as got:
             extension(m, block, budget=budget)
         assert str(got.value) == (
@@ -266,27 +271,36 @@ class TestErrors:
             "`nu p`: 5 subsets tried so far"
         )
 
-    def test_block_reads_its_witnesses_lazily(self):
-        # every neighbourhood is the whole domain, so the block's witness
-        # list holds 2^12 * 2^12 pairs; p = {w0} with a nonempty q makes the
-        # result full after 2^12 + 2 of them, and the list, grown by at most
-        # doubling, holds at most twice as many
+    def test_block_reads_its_witnesses_lazily(self, monkeypatch):
+        # every neighbourhood is the whole domain, so the block's one part
+        # holds 2^12 * 2^12 pairs; p = {w0} with a nonempty q makes the
+        # result full after 2^12 + 2 of them, and only the submasks those
+        # pairs read are built: p's first two, the 2^12 q's under the empty
+        # p and the two under p = {w0}
+        built = []
+        submasks = semantics._submasks
+
+        def counted(mask, base=0):
+            for x in submasks(mask, base):
+                built.append(x)
+                yield x
+
+        monkeypatch.setattr(semantics, "_submasks", counted)
         worlds = tuple(f"w{i}" for i in range(12))
         m = KripkeModel(worlds, frozenset((v, w) for v in worlds for w in worlds), {})
         block = parse_formula("exists p. exists q. (<> p & <> q)")
         ev = Evaluator(m)
         assert ev.extension(block) == set(worlds)
         assert ev._work.ticks == 2**12 + 2
-        [(listed, _)] = ev._witness_lists.values()
-        assert ev._work.ticks <= len(listed) <= 2 * ev._work.ticks
+        assert len(built) == ev._work.ticks + 2
         # under a small budget it stops as early, at 16 worlds too
+        built.clear()
         worlds = tuple(f"w{i}" for i in range(16))
         m = KripkeModel(worlds, frozenset((v, w) for v in worlds for w in worlds), {})
         ev = Evaluator(m, budget=EvalBudget(max_total_subset_enumerations=1000))
         with pytest.raises(BudgetExceeded):
             ev.extension(block)
-        [(listed, _)] = ev._witness_lists.values()
-        assert 1001 <= len(listed) <= 2002
+        assert len(built) == 1001 + 1
 
     @pytest.mark.parametrize(
         "n,edges,text",
@@ -371,6 +385,12 @@ def two_events():
     )
 
 
+# the formula of the n-family (`n_family`)
+N_FAMILY = "<a0> (exists r. (r & <> ~r & j0))"
+# `exists r. (E r & ((forall q. ((E q & U (q -> r)) -> U (r -> q))) & <> r))`
+SINGLETON_SCHEMA = print_formula(singleton_point_schema("r", parse_formula("<> r")))
+
+
 class TestMemoKey:
     """The memo keys a node on the values of its deps, where an unbound
     prop (its model valuation) and a prop bound to the empty set differ."""
@@ -442,13 +462,14 @@ class TestWorkCounters:
     @pytest.mark.parametrize(
         "text,ext,work",
         [
-            # r is pointed: each world tries only the witnesses holding it
-            ("<a0> (exists r. (r & [] ~r))", {"w1", "w2"}, (15, 66, 1, 0)),
+            # r is pointed: each world tries only the witnesses holding it,
+            # until it is decided
+            ("<a0> (exists r. (r & [] ~r))", {"w1", "w2"}, (7, 34, 1, 0)),
             ("exists p. <a1> (<> p & [] q)", set(), (8, 70, 8, 0)),
             ("<!p | q> (~p & [!<> q] <> q)", {"w0", "w2"}, (0, 14, 0, 2)),
             ("nu x. (q & <> x)", {"w0", "w2"}, (0, 8, 0, 0)),
             # a node over four props is memoised while at most three are bound
-            ("exists r. (<> r & (r | p | q | s))", {"w0", "w1", "w2"}, (5, 30, 0, 0)),
+            ("exists r. (<> r & (r | p | q | s))", {"w0", "w1", "w2"}, (4, 24, 0, 0)),
             # a block of four, enumerated jointly
             (
                 "exists r. exists s. exists t. exists u. (<> (r & s & t & u) | p)",
@@ -460,8 +481,9 @@ class TestWorkCounters:
             # formula, and a bound precondition prop
             ("exists r. (~r & U (p -> <> r))", {"w0", "w1"}, (8, 47, 0, 0)),
             ("exists r. (~r & (nu x. ([] r & <> x)))", {"w2"}, (8, 70, 0, 0)),
-            # under an event diamond r keeps its depth, radius 1
-            ("exists r. (~r & <a0> [] r)", {"w1", "w2"}, (7, 47, 1, 0)),
+            # under an event diamond r keeps its depth, radius 1, and with
+            # ~r a conjunct each world tries only the witnesses missing it
+            ("exists r. (~r & <a0> [] r)", {"w1", "w2"}, (4, 29, 1, 0)),
             ("exists r. (~r & <!<> r> q)", {"w0", "w2"}, (8, 45, 0, 6)),
             ("exists p. (p & <a1> true)", set(), (8, 46, 7, 0)),
             # the nu encoding, by iteration, and a guarded block
@@ -469,7 +491,7 @@ class TestWorkCounters:
             (
                 "exists r. exists s. (U (r -> q) & U (s -> ~q) & <> (r | s) & ~r & ~s)",
                 {"w0", "w1", "w2"},
-                (5, 53, 0, 0),
+                (4, 47, 0, 0),
             ),
             # forall, with a radius, and under an event diamond with a nominal
             ("forall r. (<> r | [] ~r)", {"w0", "w1", "w2"}, (7, 34, 0, 0)),
@@ -477,7 +499,8 @@ class TestWorkCounters:
             # a vacuous binder is its body, evaluated once without a tick
             ("exists q. <> p", {"w0"}, (0, 3, 0, 0)),
             ("forall q. <> p", {"w0"}, (0, 3, 0, 0)),
-            ("exists r. exists q. (<> r & p)", {"w1"}, (7, 30, 0, 0)),
+            # p is its ceiling: only w1 is searched
+            ("exists r. exists q. (<> r & p)", {"w1"}, (3, 14, 0, 0)),
             # U ~r is the guard U (r -> false): only the empty r is tried
             ("exists r. (U ~r & <> ~r & p)", {"w1"}, (1, 9, 0, 0)),
             # p is not free, but the product reads it: no vacuous binder
@@ -486,6 +509,10 @@ class TestWorkCounters:
             # pointed with an empty guard: no world is listed, and the
             # empty witness is tried once
             ("exists r. (U ~r & r & <> p)", set(), (1, 7, 0, 0)),
+            # `singleton_point_schema("r", <> r)`: its `forall` reads the
+            # guard U (q -> r) of its antecedent (31 ticks and 191 memo
+            # entries when it read none)
+            (SINGLETON_SCHEMA, {"w0", "w1", "w2"}, (13, 75, 0, 0)),
         ],
     )
     def test_direct(self, text, ext, work):
@@ -497,20 +524,46 @@ class TestWorkCounters:
         chi = translate_event(two_events(), "a0", parse_formula("exists r. (r & <> ~r)"))
         ev = Evaluator(three_cycle())
         assert ev.extension(chi) == {"w0", "w1", "w2"}
-        # a block of the pointed _f0, a conjunct, and _f1, under a diamond;
-        # the relativised rewrite states each precondition once per
-        # product step, so fewer subformulas are memoised (91 before)
-        assert self.counters(ev) == (7, 73, 0, 0)
+        # a block of the pointed _f0, a conjunct, and _f1, under a diamond,
+        # each world searched until it is decided (7 ticks and 73 memo
+        # entries when each world tried every witness its part holds)
+        assert self.counters(ev) == (3, 42, 0, 0)
 
     def test_translated_n12(self):
         # nesting each block of three fresh props took 264,033 subsets
-        # here, and unpointed blocks 15,526
+        # here, unpointed blocks 15,526, and trying every witness of each
+        # world's part 4,864
         m, events, phi = n_family(12)
         ev = Evaluator(m)
         # the direct route quantifies over the 24-world product
         direct = Evaluator(m, events, EvalBudget(max_worlds_for_quantifier=24))
         assert ev.extension(translate_event(events, "a0", phi.body)) == direct.extension(phi)
-        assert ev._work.ticks == 4_864
+        assert ev._work.ticks == 6
+
+    @pytest.mark.parametrize(
+        "text,n,route,ticks",
+        [
+            # the n-family at n = 16: 277,126 subsets direct and 76,276
+            # translated when each world tried every witness of its part,
+            # and the j0-false product worlds every witness holding them
+            (N_FAMILY, 16, "direct", 8),
+            (N_FAMILY, 16, "translated", 8),
+            # the nu-family: the nu encoding's fresh props all sit under U,
+            # so its block is one part; 69,648 subsets before each
+            # evaluation stopped at the whole domain
+            ("<a0> (nu x. (q | <> x))", 8, "translated", 48),
+        ],
+    )
+    def test_family_ticks(self, text, n, route, ticks):
+        m, events, _ = n_family(n)
+        phi = parse_formula(text)
+        # the direct route quantifies over a product of up to 2n worlds
+        direct = Evaluator(m, events, EvalBudget(max_worlds_for_quantifier=2 * n))
+        want = direct.extension(phi)
+        ev = direct if route == "direct" else Evaluator(m)
+        if route == "translated":
+            assert ev.extension(eliminate_all(events, phi).output) == want
+        assert ev._work.ticks == ticks
 
 
 def n_family(n):
@@ -530,42 +583,51 @@ def n_family(n):
         frozenset((x, y) for x in names for y in names),
         {"a0": q, "a1": TOP, "a2": Not(q)},
     )
-    return KripkeModel(worlds, relation, valuation), events, parse_formula(
-        "<a0> (exists r. (r & <> ~r & j0))"
-    )
+    return KripkeModel(worlds, relation, valuation), events, parse_formula(N_FAMILY)
 
 
-# whether each binder of the `exists` (or `forall`) chain is pointed,
-# outermost first
+# the sign of each binder of the `exists` (or `forall`) chain, outermost
+# first: 1 when it is pointed, its body (a `forall`'s antecedent) implying
+# its variable, -1 when that implies the variable's negation, and 0 when
+# neither does or it has no radius
 POINTED = {
     # r a conjunct under an inner `exists s.`, and under an inner `exists
     # r.` that shadows it
-    "exists r. (<> ~r & (exists s. (s & r & [] ~s)))": [True],
-    "exists r. (<> r & (exists r. (r & [] ~r)))": [False],
+    "exists r. (<> ~r & (exists s. (s & r & [] ~s)))": [1],
+    "exists r. (<> r & (exists r. (r & [] ~r)))": [0],
     # a block with one pointed and one unpointed member
-    "exists r. exists s. (r & <> s & [] (~r | ~s))": [True, False],
+    "exists r. exists s. (r & <> s & [] (~r | ~s))": [1, 0],
     # r under U leaves it no radius, so it is not pointed
-    "exists r. (r & U (q -> r))": [False],
+    "exists r. (r & U (q -> r))": [0],
     # an empty guard: one tick
-    "exists r. (U ~r & r & <> p)": [True],
+    "exists r. (U ~r & r & <> p)": [1],
     # p is a precondition prop, so it has no radius; r has radius 1
-    "exists p. (p & <a1> [] q)": [False],
-    "exists r. (r & <a1> [] ~r)": [True],
+    "exists p. (p & <a1> [] q)": [0],
+    "exists r. (r & <a1> [] ~r)": [1],
     # `~(r -> C)` is `r & ~C`, and `forall r. (A -> C)` with r a conjunct of
     # A holds at every world outside the witness
-    "exists r. ~(r -> <> [] r)": [True],
-    "exists r. ~((q & r) -> <> r)": [True],
-    "forall r. ((q & r) -> <> r)": [True],
-    "forall r. (<> r -> r)": [False],
-    "forall r. (r | <> ~r)": [False],
-    # under U r has no radius; `U (r -> q)` is no guard of a `forall`
-    "forall r. (r -> U (q -> r))": [False],
-    "forall r. ((r & U (r -> q)) -> <> r)": [False],
+    "exists r. ~(r -> <> [] r)": [1],
+    "exists r. ~((q & r) -> <> r)": [1],
+    "forall r. ((q & r) -> <> r)": [1],
+    "forall r. (<> r -> r)": [0],
+    "forall r. (r | <> ~r)": [0],
+    # under U r has no radius; `U (r -> q)` in a `forall`'s antecedent is
+    # a guard, so no occurrence
+    "forall r. (r -> U (q -> r))": [0],
+    "forall r. ((r & U (r -> q)) -> <> r)": [1],
+    # ~r as a conjunct: world w tries only the witnesses missing w
+    "exists r. (~r & <> r)": [-1],
+    "exists r. exists s. (~r & <> (r & s) & ~s)": [-1, -1],
+    "forall r. (~r -> [] r)": [-1],
+    "exists r. (~r & E r)": [0],
+    # both: the body never holds, and either sign is exact
+    "exists r. (r & ~r & <> r)": [1],
 }
 
-# the three spellings of one universal formula, which each tick 392 times
-# on `ten_worlds()`, and 576 for the first two when a `forall` and `~(A ->
-# B)` under `exists` were not pointed
+# the three spellings of one universal formula, which each tick 39 times
+# on `ten_worlds()`: 392 when each world tried every witness holding it,
+# and 576 for the first two when a `forall` and `~(A -> B)` under `exists`
+# were not pointed
 UNIVERSAL_FORMS = (
     "forall r. (r -> <> [] r)",
     "~ (exists r. ~(r -> <> [] r))",
@@ -588,19 +650,44 @@ class TestNeighbourhoodEnumeration:
     the radius is forced to none.  Likewise, enumerating a block of
     `exists` jointly and iterating the nu encoding `exists x. (x & U (x ->
     B))` give exactly what nesting the block and enumerating x give, which
-    is what it does when both shapes are forced off."""
+    is what it does when both shapes are forced off.  Both forced
+    references keep the per-world exits and the ceilings, so the plain
+    reference, which tries every subset of the domain, checks those."""
 
     @staticmethod
     def flat(monkeypatch):
         scan = Evaluator._scan
-        monkeypatch.setattr(
-            Evaluator, "_scan", lambda self, phi: (scan(self, phi)[0], None, False, None)
-        )
+
+        def flat_scan(self, phi):
+            bodies, _, _, ceiling, _ = scan(self, phi)
+            return bodies, None, 0, ceiling, None
+
+        monkeypatch.setattr(Evaluator, "_scan", flat_scan)
 
     @staticmethod
     def shapes_off(monkeypatch):
         scan = Evaluator._scan
-        monkeypatch.setattr(Evaluator, "_scan", lambda self, phi: (*scan(self, phi)[:3], None))
+        monkeypatch.setattr(Evaluator, "_scan", lambda self, phi: (*scan(self, phi)[:4], None))
+
+    @staticmethod
+    def plain(monkeypatch):
+        """Every `exists` and `forall` tries every subset of the domain, in
+        ascending order, with no guard, radius, pointing, early exit or
+        ceiling, and no block or nu encoding: a reference that shares none
+        of the evaluator's quantifier code."""
+
+        def every_subset(self, phi, env):
+            forall = type(phi) is ForallProp
+            out, sub_env = self.full if forall else 0, dict(env)
+            for x in range(1 << self.n):
+                self._tick(phi)
+                sub_env[phi.var] = x
+                got = self._eval(phi.body, sub_env)
+                out = out & got if forall else out | got
+            return out
+
+        for binder in (ExistsProp, ForallProp):
+            monkeypatch.setitem(semantics._HANDLERS, binder, every_subset)
 
     def evaluations(self, monkeypatch, force, run):
         """The evaluations that `run()` asks of any session, in order, as
@@ -630,12 +717,13 @@ class TestNeighbourhoodEnumeration:
             if contains_node(phi, (ExistsProp, ForallProp)):
                 yield model, events, phi
 
-    def cross_check(self, monkeypatch, session, formula):
+    def cross_check(self, monkeypatch, session, formula, plain=True):
         """`formula`'s extension on a fresh `session()`, equal with the
-        radius and with the shapes forced off, and at no more work."""
+        radius and with the shapes forced off, and (with `plain`) by the
+        plain reference, each at no less work."""
         ev = session()
         ext = ev.extension(formula)
-        for force in (self.flat, self.shapes_off):
+        for force in (self.flat, self.shapes_off, self.plain)[: 2 + plain]:
             with monkeypatch.context() as mp:
                 force(mp)
                 forced = session()
@@ -670,7 +758,7 @@ class TestNeighbourhoodEnumeration:
             cfg = FuzzConfig(seed=9, cases=n, suites=(suite,))
             got, report = self.evaluations(monkeypatch, counted, lambda: run_fuzz(cfg))
             assert got and report.ok, suite
-            for force in (self.flat, self.shapes_off):
+            for force in (self.flat, self.shapes_off, self.plain):
                 want, forced_report = self.evaluations(monkeypatch, force, lambda: run_fuzz(cfg))
                 assert got == want, (suite, force.__name__)
                 assert report.payload() == forced_report.payload()
@@ -686,7 +774,7 @@ class TestNeighbourhoodEnumeration:
         ]
         run = lambda: [Evaluator(m).extension(chi) for m in models for chi in outputs]
         got, _ = self.evaluations(monkeypatch, counted, run)
-        for force in (self.flat, self.shapes_off):
+        for force in (self.flat, self.shapes_off, self.plain):
             assert self.evaluations(monkeypatch, force, run)[0] == got, force.__name__
         quantified.update(self.quantified(got))
         assert len(quantified) >= 2000
@@ -699,7 +787,11 @@ class TestNeighbourhoodEnumeration:
         m, events, phi = n_family(n)
         chi = translate_event(events, "a0", phi.body)
         self.cross_check(monkeypatch, lambda: Evaluator(m, events), phi)
-        self.cross_check(monkeypatch, lambda: Evaluator(m), chi)
+        # the plain reference would nest the block of three fresh props,
+        # 2^(3n) subsets; the direct route, checked by it, has the same
+        # extension
+        self.cross_check(monkeypatch, lambda: Evaluator(m), chi, plain=False)
+        assert Evaluator(m).extension(chi) == Evaluator(m, events).extension(phi)
 
     @pytest.mark.parametrize(
         "text",
@@ -743,14 +835,27 @@ class TestNeighbourhoodEnumeration:
             "exists r. exists s. (<a0> [] (r | s) & ~r & ~s)",
             "exists r. exists s. (U (s -> r) & <> s & ~r)",
             "exists r. exists s. exists r. (<> r & s)",
-            # pointed binders and, among them, a bound precondition prop
-            # (see `test_pointed`), and the rewriter's expansion of
-            # `forall r. (r -> <> [] r)` above (`UNIVERSAL_FORMS`); the
-            # third form, pointed before, tries other witnesses than the
-            # flat reference at the same ticks and memoises 27 entries to
-            # its 24 here, so it is checked in `test_universal_forms`
+            # ceilings: a nominal in a product, where it resolves, and at
+            # the root, where it would raise and the body never reads it; an
+            # index past the events; a prop an outer binder bounds; and
+            # conjuncts that could raise, which are none
+            "<a1> (exists r. (<> r & j1 & ~r))",
+            "<a1> (forall r. ((j1 & r) -> <> r))",
+            "<a0> (forall r. ((<> r & ~j1) -> [] r))",
+            "exists r. ((r & ~r) & j0)",
+            "forall r. ((<> (r & ~r) & j1) -> r)",
+            "<a0> (exists r. ((r & ~r) & j5))",
+            "exists s. (<> ~s & (exists r. (s & r & <> ~r)))",
+            "exists s. (<> s & (forall r. ((s & r) -> <> r)))",
+            "forall s. (s -> (exists r. (<> r & ~s & ~r)))",
+            "exists r. (<> (r & ~r) & <a7> q)",
+            "exists r. ((r & ~r) & (exists s. (s & <a7> q)))",
+            "forall r. ((<> (r & ~r) & <!(<a7> q)> q) -> r)",
+            # the binders of `test_pointed`, and the rewriter's expansions
+            # of `forall r. (r -> <> [] r)` above (`UNIVERSAL_FORMS`)
             *POINTED,
-            UNIVERSAL_FORMS[1],
+            *UNIVERSAL_FORMS[1:],
+            SINGLETON_SCHEMA,
         ],
     )
     def test_hand_cases(self, monkeypatch, text):
@@ -761,11 +866,11 @@ class TestNeighbourhoodEnumeration:
     def test_pointed(self, text):
         # each binder of the `exists` chain, outermost first
         ev = Evaluator(three_cycle(), events=two_events())
-        phi, flags = parse_formula(text), []
+        phi, signs = parse_formula(text), []
         while isinstance(phi, (ExistsProp, ForallProp)):
-            flags.append(ev._scan(phi)[2])
+            signs.append(ev._scan(phi)[2])
             phi = phi.body
-        assert flags == POINTED[text]
+        assert signs == POINTED[text]
 
     @pytest.mark.parametrize("text", UNIVERSAL_FORMS)
     def test_universal_forms(self, monkeypatch, text):
@@ -775,7 +880,40 @@ class TestNeighbourhoodEnumeration:
         self.cross_check(monkeypatch, lambda: Evaluator(ten_worlds()), phi)
         ev = Evaluator(ten_worlds())
         assert ev.extension(phi) == {"w5", "w6"}
-        assert ev._work.ticks == 392
+        assert ev._work.ticks == 39
+
+    @pytest.mark.parametrize(
+        "antecedent,consequent,ticks",
+        [
+            # the guard U (r -> q) bounds the falsifying witnesses to
+            # subsets of q: 1,024 subsets when a `forall` read no guards,
+            # and 16 for its expansion when each world tried every witness
+            # holding it
+            ("r & U (r -> q)", "<> [] r", 5),
+            # q is the expansion's ceiling and the `forall`'s floor
+            ("q & r", "<> [] r", 5),
+            ("q & <> r", "[] r", 8),
+            # a conjunct holding a binder is no ceiling
+            ("(exists s. (s & q)) & r & U (r -> ~q)", "<> r", 17),
+        ],
+    )
+    def test_forall_reads_its_antecedent(self, monkeypatch, antecedent, consequent, ticks):
+        # `forall r. (A -> B)` reads the guards, the pointing and the
+        # ceiling of A as its expansion `~ exists r. ~(A -> B)` does, so
+        # both do equal work
+        m = ten_worlds()
+        m = KripkeModel(m.worlds, m.relation, {"q": frozenset(m.worlds[:5])})
+        forms = [
+            parse_formula(f"forall r. (({antecedent}) -> {consequent})"),
+            parse_formula(f"~ (exists r. ~(({antecedent}) -> {consequent}))"),
+        ]
+        work = set()
+        for phi in forms:
+            self.cross_check(monkeypatch, lambda: Evaluator(m), phi)
+            ev = Evaluator(m)
+            ev.extension(phi)
+            work.add(TestWorkCounters.counters(ev)[0])
+        assert work == {ticks}
 
     def test_bound_precondition_props(self, monkeypatch):
         # p is a precondition prop of both events, so an event diamond in
@@ -792,9 +930,10 @@ class TestNeighbourhoodEnumeration:
             binder = ExistsProp if i % 2 else ForallProp
             cases.append((random_model(cfg, i), binder("p", body)))
         got = [Evaluator(m, events=events).extension(phi) for m, phi in cases]
-        with monkeypatch.context() as mp:
-            self.flat(mp)
-            assert [Evaluator(m, events=events).extension(phi) for m, phi in cases] == got
+        for force in (self.flat, self.plain):
+            with monkeypatch.context() as mp:
+                force(mp)
+                assert [Evaluator(m, events=events).extension(phi) for m, phi in cases] == got
 
     def test_empty_model(self, monkeypatch):
         # announcing false leaves an empty model, where the one subset,
