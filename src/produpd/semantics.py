@@ -9,19 +9,22 @@ in index space, without naming a model.
 
 A quantifier does not always need every subset of the domain.  One
 static scan of each binder's body, cached for the session tree, reads
-the conjuncts of an `exists` body, or of the antecedent A of `forall r.
-(A -> C)` (`~(A -> C)` is read as `A & ~C` there), and finds:
+the guard path of its body with a polarity, as conjunctions at + and
+disjunctions at - (an `exists` body starts at +, a `forall` body at -,
+as in its expansion `~ exists r. ~B`; `~` flips the polarity and `A ->
+B` at - passes A at + and B at -), and finds:
 
-- the `U (r -> B)` guard conjuncts (`U ~r` is one with B false): a
+- the `U (r -> B)` guard conjuncts at + (`U ~r` is one with B false): a
   subset outside the extension of B falsifies the guard outright, so
   only subsets of that extension are tried;
-- the ceiling, the conjuncts free of r and of every binder passed, and
-  holding no binder, event diamond or announcement (so evaluating one
-  never raises or ticks; a nominal is used only where the session
-  resolves it).  The body holds only inside the ceiling, so an `exists`
-  is false outside it without a witness, and a `forall` true there (its
-  floor): `forall r. (A -> C)` and its expansion `~ exists r. ~(A -> C)`
-  search the same worlds;
+- the ceiling, the parts free of r and of every binder passed, each read
+  at - entering as its negation, and holding no binder, event diamond or
+  announcement (so evaluating one never raises or ticks; a nominal is
+  used only where the session resolves it).  An `exists` body holds,
+  and a `forall` body fails, only inside the ceiling, so an `exists` is
+  false outside it without a witness, and a `forall` true there (its
+  floor): `forall r. B` and its expansion `~ exists r. ~B` search the
+  same worlds;
 - the binder's locality radius d, the deepest box or diamond nesting
   above a free occurrence of its variable.  The body's truth at a world w
   then depends on the variable only within N_d(w), the worlds reachable
@@ -30,10 +33,10 @@ the conjuncts of an `exists` body, or of the antecedent A of `forall r.
   There is no radius when an occurrence sits under `U`, `E` or `nu`, in
   an announced formula, or under an event diamond when the variable is
   a precondition prop.  Then every world tries every subset of the guard;
-- the binder's sign, with a radius: r itself as a conjunct makes the body
+- the binder's sign, with a radius: r itself read at + makes the body
   imply r, so only witnesses holding w decide w (the binder is pointed,
-  and a world outside the guard is decided at once), and ~r as a
-  conjunct makes only witnesses missing w decide it.
+  and a world outside the guard is decided at once), and r read at -
+  makes only witnesses missing w decide it.
 
 The search (`_eval_block`) decides one world at a time.  The worlds left
 are grouped by the part they would search, a group tries the submasks of
@@ -113,7 +116,6 @@ _MEMO_ARITY_CAP = 3
 _NONLOCAL = frozenset({Global, ExistsGlobal, Nu, Announce})
 _BINDER_WORDS = {ExistsProp: "exists", ForallProp: "forall", Nu: "nu"}
 _EVENT_BIT = _KIND_BIT[ActionDiamond]
-_NOMINAL_BIT = _KIND_BIT[Nominal]
 # a conjunct holding one of these could raise or tick, so it bounds no search
 _NO_CEILING = sum(_KIND_BIT[k] for k in (ExistsProp, ForallProp, Nu, ActionDiamond, Announce))
 
@@ -156,18 +158,6 @@ def _submask_tuples(parts: tuple):
     return itertools.chain.from_iterable(
         map((x,).__add__, _submask_tuples(parts[1:])) for x in _submasks(*parts[0])
     )
-
-
-def _nominals_read(f: Formula) -> int:
-    """One more than the highest nominal index in `f`, 0 with none."""
-    top, stack = 0, [f]
-    while stack:
-        g = stack.pop()
-        if g._facts.kinds & _NOMINAL_BIT:
-            if type(g) is Nominal:
-                top = max(top, g.index + 1)
-            stack.extend(children(g))
-    return top
 
 
 class _Work:
@@ -430,20 +420,15 @@ class Evaluator:
         path, from one walk: `_eval_vacuous` when its body does not depend
         on var, else `_shape`.
 
-        Guards, var as a conjunct and the ceiling are looked for on the
-        guard path: through conjunctions and through intermediate `exists`
-        of other variables, in the body of an `exists` and in the
-        antecedent A of `forall var. (A -> B)`; `~(A -> B)` there is read
-        as `A & ~B`.  A guard conjunct that mentions no intervening binder
-        falsifies the whole inner body for oversized witnesses regardless
-        of the inner choices.  The sign, with a radius, is 1 (pointed) when
-        var itself is such a conjunct, so that only witnesses holding a
-        world decide it, else -1 when ~var is one, so that only witnesses
-        missing it do, else 0.  The ceiling is the conjuncts free of var
-        and of every binder passed, each with one more than its highest
-        nominal index (`_nominals_read`); one holding a binder, an event
-        diamond or an announcement is left out, since it could raise or
-        tick.
+        Guards, var's sign and the ceiling are read on the guard path, with
+        a polarity (see the module docstring); at + it also passes an
+        intermediate `exists` of another variable.  A guard conjunct that
+        mentions no intervening binder falsifies the whole inner body for
+        oversized witnesses regardless of the inner choices.  The sign,
+        with a radius, is 1 (pointed) when var itself is read at +, else -1
+        when it is read at -, else 0.  A ceiling part holding a binder, an
+        event diamond or an announcement is left out, since it could raise
+        or tick.
 
         Under U, E, nu or in an announced formula, truth at a world can
         depend on var at any distance.  So can an event diamond anywhere
@@ -458,46 +443,46 @@ class Evaluator:
             return got
         var = phi.var
         bodies: list[Formula] = []
-        ceiling: list[tuple[Formula, int]] = []
-        # the signs of var found as a conjunct where guards are looked for
+        ceiling: list[Formula] = []
+        # the polarities var itself is read at on the guard path
         radius, signs = 0, set()
         if var in self._pre_props and contains_node(phi.body, ActionDiamond):
             radius = None
-        # (node, modal depth, binders passed on the guard path, or None off it)
-        if type(phi) is ExistsProp:
-            stack = [(phi.body, 0, frozenset())]
-        elif type(phi.body) is Implies:
-            stack = [(phi.body.left, 0, frozenset()), (phi.body.right, 0, None)]
-        else:
-            stack = [(phi.body, 0, None)]
+        # (node, modal depth, binders passed on the guard path or None off
+        # it, and there the polarity: a `forall` body is read at -)
+        stack = [(phi.body, 0, frozenset(), 1 if type(phi) is ExistsProp else -1)]
         # off the guard path, the deepest depth each node was walked at: a
         # shared subterm is walked again only deeper, not once per occurrence
         deepest: dict[Formula, int] = {}
         while stack:
-            f, depth, shadowed = stack.pop()
+            f, depth, shadowed, sign = stack.pop()
             if var not in f._facts.free:
                 if shadowed is not None and not (
                     f._facts.free & shadowed or f._facts.kinds & _NO_CEILING
                 ):
-                    ceiling.append((f, _nominals_read(f)))
+                    ceiling.append(f if sign > 0 else Not(f))
                 continue
             cls = type(f)
             if shadowed is not None:
-                if cls is Atom or (cls is Not and type(f.body) is Atom):
-                    signs.add(1 if cls is Atom else -1)
-                elif cls is And:
-                    stack.append((f.left, depth, shadowed))
-                    stack.append((f.right, depth, shadowed))
+                if cls is Not:
+                    stack.append((f.body, depth, shadowed, -sign))
                     continue
-                elif cls is ExistsProp:
-                    stack.append((f.body, depth, shadowed | {f.var}))
+                if cls is Atom:
+                    signs.add(sign)
+                elif (cls is And and sign > 0) or (cls is Or and sign < 0):
+                    stack.append((f.left, depth, shadowed, sign))
+                    stack.append((f.right, depth, shadowed, sign))
                     continue
-                elif cls is Not and type(f.body) is Implies:
+                elif cls is Implies and sign < 0:
                     # `~(A -> B)` is `A & ~B`
-                    stack.append((f.body.left, depth, shadowed))
-                    stack.append((f.body.right, depth, None))
+                    stack.append((f.left, depth, shadowed, 1))
+                    stack.append((f.right, depth, shadowed, -1))
                     continue
-                elif cls is Global and type(f.body) in (Implies, Not):
+                # guards and shadowing are read only at +
+                elif sign > 0 and cls is ExistsProp:
+                    stack.append((f.body, depth, shadowed | {f.var}, 1))
+                    continue
+                elif sign > 0 and cls is Global and type(f.body) in (Implies, Not):
                     # U (var -> A), or U ~var, which is U (var -> false)
                     g = f.body
                     head, rhs = (g.left, g.right) if type(g) is Implies else (g.body, BOTTOM)
@@ -511,15 +496,15 @@ class Evaluator:
             if cls is Atom:
                 radius = max(radius, depth)
             elif cls is Box or cls is Diamond:
-                stack.append((f.body, depth + 1, None))
+                stack.append((f.body, depth + 1, None, 0))
             # a step in a product or relativised model projects onto one here
             elif cls is ActionDiamond or (cls is Announce and var not in f.announced._facts.free):
-                stack.append((f.body, depth, None))
+                stack.append((f.body, depth, None, 0))
             elif cls in _NONLOCAL:
                 radius = None
             else:
                 for part in children(f):
-                    stack.append((part, depth, None))
+                    stack.append((part, depth, None, 0))
         # with no radius each world would try every witness anyway; with
         # both signs the body never holds, and either one is exact
         sign = 0 if radius is None or not signs else max(signs)
@@ -603,8 +588,8 @@ class Evaluator:
         for guard, _, sign in members:
             if sign > 0:
                 todo &= guard
-        for f, nominals in ceiling:
-            if todo and nominals <= self._nominals:
+        for f in ceiling:
+            if todo and f._facts.nominals <= self._nominals:
                 todo &= self._eval(f, env)
         groups: dict = {}
         for i in range(self.n):

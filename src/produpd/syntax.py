@@ -10,18 +10,20 @@ measure and every semantic clause treats them by their expansions.
 
 Rewritten output is a tree that grows much faster than its set of distinct
 subterms, so nodes are hash-consed: structurally equal formulas are one
-object (see `Formula`).  The whole-subtree queries (`free_props`,
-`formula_size`, `quantifier_count`, `contains_node`) do not walk the
-tree.  A node's children always exist before it, so the constructor
-builds the node's facts record from its children's records when it
-creates the node: facts are built once per distinct subterm and every
-query is O(1); they also hold the free props sorted, the evaluator's
-memo deps, shared with a child whose free props are the same.  One
-table, `_CHILD_FIELDS`, names each node class's child fields; `children`,
-`rebuild` and the constructor read it.  The walks that remain
-(positivity, nominal scoping) skip subtrees whose record shows there is
-nothing to find, and `substitute` and `all_props` visit each distinct
-subterm once.
+object (see `Formula`).  A node's children always exist before it, so the
+constructor builds the node's facts record from its children's records
+when it creates the node: free props (also sorted, the evaluator's memo
+deps, shared with a child whose free props are the same), size, binder
+count, modal depth, nominal reach and the kinds of node below it, with a
+bit for a nominal outside every event diamond and one for a `nu` whose
+body is not positive in its variable.  Facts are built once per distinct
+subterm, so `free_props`, `formula_size`, `quantifier_count`,
+`contains_node`, `modal_depth` and `classify` answer in O(1).  One table,
+`_CHILD_FIELDS`, names each node class's child fields; `children`,
+`rebuild` and the constructor read it.  The walks that remain,
+`is_positive_in`, `substitute` and `all_props`, visit each distinct
+subterm once (`is_positive_in` once per polarity), and an error that
+names a node descends to it along the records that hold it.
 """
 
 from __future__ import annotations
@@ -76,24 +78,38 @@ class Formula:
         node = _new(cls)
         for name, value in zip(cls.__match_args__, args):
             _set(node, name, value)
-        size, binders, kinds = 1, 0, _KIND_BIT[cls]
+        size, binders, kinds, depth, nominals = 1, 0, _KIND_BIT[cls], 0, 0
         free, deps = _NO_PROPS, ()
         for name in _CHILD_FIELDS[cls]:
             part = getattr(node, name)._facts
             size += part.size
             binders += part.binders
             kinds |= part.kinds
+            if part.depth > depth:
+                depth = part.depth
+            if part.nominals > nominals:
+                nominals = part.nominals
             if free <= part.free:  # a child's set that holds the rest lends its tuple
                 free, deps = part.free, part.deps
             elif not part.free <= free:
                 free, deps = free | part.free, None
         if cls is Atom:
             free, deps = frozenset(args), args
+        elif cls is Box or cls is Diamond:
+            depth += 1
         elif cls in _BINDERS:
             binders += 1
             if args[0] in free:
                 free, deps = free - {args[0]}, None
-        _set(node, "_facts", _Facts(free, deps or tuple(sorted(free)), size, binders, kinds))
+                if cls is Nu and not is_positive_in(args[1], args[0]):
+                    kinds |= _NONPOSITIVE_BIT
+        elif cls is ActionDiamond:
+            kinds &= ~_UNSCOPED_BIT
+        elif cls is Nominal:
+            kinds |= _UNSCOPED_BIT
+            nominals = args[0] + 1
+        facts = _Facts(free, deps or tuple(sorted(free)), size, binders, kinds, depth, nominals)
+        _set(node, "_facts", facts)
         nodes[args] = _ref(node, partial(_forget, nodes, args))
         return node
 
@@ -248,6 +264,12 @@ _CHILD_FIELDS = {
 }
 
 
+# in `_Facts.kinds`: a nominal outside every event diamond, a `nu` whose
+# body is not positive in its variable
+_UNSCOPED_BIT = 1 << len(_NODE_KINDS)
+_NONPOSITIVE_BIT = _UNSCOPED_BIT << 1
+
+
 class _Facts(NamedTuple):
     """Facts about a whole subtree, kept on its root node."""
 
@@ -255,7 +277,9 @@ class _Facts(NamedTuple):
     deps: tuple[str, ...]  # the same, sorted
     size: int  # node count
     binders: int  # ExistsProp, ForallProp and Nu nodes
-    kinds: int  # union of the `_KIND_BIT` of every node
+    kinds: int  # union of the `_KIND_BIT` of every node, and the two bits above
+    depth: int  # Box and Diamond nesting
+    nominals: int  # one more than the highest nominal index, 0 with none
 
 
 _NO_PROPS: frozenset[str] = frozenset()
@@ -302,9 +326,7 @@ def _kind_mask(kinds) -> int:
     return sum(bit for cls, bit in _KIND_BIT.items() if issubclass(cls, kinds))
 
 
-_NU_BIT = _KIND_BIT[Nu]
-_NOMINAL_BIT = _KIND_BIT[Nominal]
-_MU_MASK = _kind_mask(_MU_NODES)
+_NOT_MU_MASK = _kind_mask(Formula) & ~_kind_mask(_MU_NODES)
 _UNCOUNTED_MASK = _kind_mask((Nu, Announce))
 
 
@@ -350,18 +372,24 @@ def quantifier_count(phi: Formula) -> int:
     """
     facts = phi._facts
     if facts.kinds & _UNCOUNTED_MASK:
-        while not isinstance(phi, (Nu, Announce)):
-            phi = next(c for c in children(phi) if c._facts.kinds & _UNCOUNTED_MASK)
+        phi = _first(phi, _UNCOUNTED_MASK, lambda f: isinstance(f, (Nu, Announce)))
         raise InputNotSentenceFragment(
             f"quantifier count undefined on {type(phi).__name__} nodes"
         )
     return facts.binders
 
 
+def _first(phi: Formula, mask: int, found) -> Formula:
+    """The first node in pre-order that `found` accepts; `mask` marks it
+    and the nodes above it."""
+    while not found(phi):
+        phi = next(c for c in children(phi) if c._facts.kinds & mask)
+    return phi
+
+
 def modal_depth(phi: Formula) -> int:
     """Nesting depth of the relational modalities (box and diamond)."""
-    step = 1 if isinstance(phi, (Box, Diamond)) else 0
-    return step + max((modal_depth(c) for c in children(phi)), default=0)
+    return phi._facts.depth
 
 
 def fresh_props(count: int, avoid) -> list[str]:
@@ -446,65 +474,40 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
     return go(f, g, {}, {}, 0)
 
 
-def _polarity_ok(phi: Formula, var: str, positive: bool) -> bool:
-    if var not in phi._facts.free:
-        return True
-    # from here on `var` is free in phi: an atom is `var` itself, and a
-    # binder binds another name
-    if isinstance(phi, Atom):
-        return positive
-    if isinstance(phi, Not):
-        return _polarity_ok(phi.body, var, not positive)
-    if isinstance(phi, Implies):
-        return _polarity_ok(phi.left, var, not positive) and _polarity_ok(
-            phi.right, var, positive
-        )
-    if isinstance(phi, _BINDERS):
-        return _polarity_ok(phi.body, var, positive)
-    if isinstance(phi, Announce):
-        # the announced formula shapes the surviving domain, where the
-        # variable acts with both polarities
-        if var in free_props(phi.announced):
-            return False
-        return _polarity_ok(phi.body, var, positive)
-    return all(_polarity_ok(c, var, positive) for c in children(phi))
-
-
 def is_positive_in(phi: Formula, var: str) -> bool:
     """True iff every free occurrence of `var` sits under an even number of
-    negations (implication antecedents count as one)."""
-    return _polarity_ok(phi, var, True)
+    negations (implication antecedents count as one).  Each (node,
+    polarity) pair is visited once."""
+    seen, stack = set(), [(phi, True)]
+    while stack:
+        item = stack.pop()
+        f, positive = item
+        if var not in f._facts.free or item in seen:
+            continue
+        seen.add(item)
+        cls = type(f)
+        # var is free in f: an atom is var itself, a binder binds another
+        # name, and an announced formula shapes the surviving domain, where
+        # var acts with both polarities
+        if (cls is Atom and not positive) or (cls is Announce and var in f.announced._facts.free):
+            return False
+        if cls is Not:
+            stack.append((f.body, not positive))
+        elif cls is Implies:
+            stack += [(f.left, not positive), (f.right, positive)]
+        else:
+            stack += [(c, positive) for c in children(f)]
+    return True
 
 
 def check_nu_positivity(phi: Formula) -> None:
-    if not phi._facts.kinds & _NU_BIT:
-        return
-    if isinstance(phi, Nu) and not is_positive_in(phi.body, phi.var):
-        raise PositivityViolation(
-            f"fixpoint body is not positive in {phi.var!r}"
+    """Raise PositivityViolation naming the variable of the first fixpoint
+    in pre-order whose body is not positive in it."""
+    if phi._facts.kinds & _NONPOSITIVE_BIT:
+        phi = _first(
+            phi, _NONPOSITIVE_BIT, lambda f: type(f) is Nu and not is_positive_in(f.body, f.var)
         )
-    for c in children(phi):
-        check_nu_positivity(c)
-
-
-def _mu_grammar_only(phi: Formula) -> bool:
-    return not phi._facts.kinds & ~_MU_MASK
-
-
-def _has_unscoped_nominal(phi: Formula, scoped: bool = False) -> bool:
-    if not phi._facts.kinds & _NOMINAL_BIT:
-        return False
-    if isinstance(phi, Nominal):
-        return not scoped
-    if isinstance(phi, ActionDiamond):
-        return _has_unscoped_nominal(phi.body, True)
-    if isinstance(phi, Announce):
-        # the announced formula is evaluated on the current model, so an
-        # announcement does not scope nominals
-        return _has_unscoped_nominal(phi.announced, scoped) or _has_unscoped_nominal(
-            phi.body, scoped
-        )
-    return any(_has_unscoped_nominal(c, scoped) for c in children(phi))
+        raise PositivityViolation(f"fixpoint body is not positive in {phi.var!r}")
 
 
 def classify(phi: Formula) -> LanguageTag:
@@ -517,9 +520,9 @@ def classify(phi: Formula) -> LanguageTag:
     fixpoints and announcements are always eliminable.
     """
     check_nu_positivity(phi)
-    if contains_node(phi, Nu) and _mu_grammar_only(phi):
+    if contains_node(phi, Nu) and not phi._facts.kinds & _NOT_MU_MASK:
         return LanguageTag.MU_FRAGMENT
-    if _has_unscoped_nominal(phi):
+    if phi._facts.kinds & _UNSCOPED_BIT:
         return LanguageTag.SENTENCE_ONLY
     if contains_node(phi, Nominal):
         return LanguageTag.SCOPED_NOMINALS

@@ -246,11 +246,14 @@ class TestErrors:
         # A block is enumerated jointly and named by its first binder: the
         # 8 triples within w0, then the 7 new ones within w1, so the 11th
         # tuple tried is one of w1's.  The body is false everywhere, so no
-        # world is decided early, and every conjunct names a member, so no
-        # ceiling decides one (with `p | q | r` each world would stop at
-        # its second triple, and with `p & q & r` try only the one that
-        # holds it)
-        block = parse_formula("exists p. exists q. exists r. (~(p | q | r) & (p | q | r))")
+        # world is decided early, every conjunct names a member, so no
+        # ceiling decides one, and no member is read as a conjunct, so none
+        # is pointed (with `p | q | r` each world would stop at its second
+        # triple, with `p & q & r` try only the one that holds it, and with
+        # `~(p | q | r)` only the one that misses it)
+        block = parse_formula(
+            "exists p. exists q. exists r. ((p | q | r) & ((p | q | r) -> ~(p | q | r)))"
+        )
         with pytest.raises(BudgetExceeded) as got:
             extension(m, block, budget=budget)
         assert str(got.value) == (
@@ -493,9 +496,12 @@ class TestWorkCounters:
                 {"w0", "w1", "w2"},
                 (4, 47, 0, 0),
             ),
-            # forall, with a radius, and under an event diamond with a nominal
+            # forall, with a radius, and under an event diamond with a
+            # nominal, where ~j1, read from the body's disjunct j1, is the
+            # ceiling, so the j1 worlds hold without a witness (18 ticks and
+            # 107 memo entries when a `forall` read only an antecedent)
             ("forall r. (<> r | [] ~r)", {"w0", "w1", "w2"}, (7, 34, 0, 0)),
-            ("<a1> (forall r. (j1 | <> r | [] ~r))", {"w0", "w2"}, (18, 107, 1, 0)),
+            ("<a1> (forall r. (j1 | <> r | [] ~r))", {"w0", "w2"}, (17, 104, 1, 0)),
             # a vacuous binder is its body, evaluated once without a tick
             ("exists q. <> p", {"w0"}, (0, 3, 0, 0)),
             ("forall q. <> p", {"w0"}, (0, 3, 0, 0)),
@@ -609,8 +615,10 @@ POINTED = {
     "exists r. ~(r -> <> [] r)": [1],
     "exists r. ~((q & r) -> <> r)": [1],
     "forall r. ((q & r) -> <> r)": [1],
-    "forall r. (<> r -> r)": [0],
-    "forall r. (r | <> ~r)": [0],
+    # a `forall` is read at -, as its expansion `~ exists r. ~B` is: it
+    # fails only where r does
+    "forall r. (<> r -> r)": [-1],
+    "forall r. (r | <> ~r)": [-1],
     # under U r has no radius; `U (r -> q)` in a `forall`'s antecedent is
     # a guard, so no occurrence
     "forall r. (r -> U (q -> r))": [0],

@@ -29,6 +29,7 @@ from produpd import (
     PositivityViolation,
     alpha_equal,
     classify,
+    eliminate_all,
     formula_size,
     free_props,
     fresh_props,
@@ -47,11 +48,16 @@ from produpd.harness import (
 from produpd.syntax import (
     _BINDERS,
     _NODE_KINDS,
+    _NONPOSITIVE_BIT,
+    _UNSCOPED_BIT,
+    Diamond,
     Formula,
     ForallProp,
+    check_nu_positivity,
     children,
     contains_node,
     is_positive_in,
+    modal_depth,
     nu_encoding,
     rebuild,
     replace_subformula,
@@ -283,6 +289,43 @@ def ref_polarity_ok(phi, var, positive):
     return all(ref_polarity_ok(c, var, positive) for c in children(phi))
 
 
+def ref_modal_depth(phi):
+    step = 1 if isinstance(phi, (Box, Diamond)) else 0
+    return step + max((ref_modal_depth(c) for c in children(phi)), default=0)
+
+
+def ref_nominals_read(phi):
+    """One more than the highest nominal index, 0 with none."""
+    if isinstance(phi, Nominal):
+        return phi.index + 1
+    return max((ref_nominals_read(c) for c in children(phi)), default=0)
+
+
+def ref_has_unscoped_nominal(phi, scoped=False):
+    if isinstance(phi, Nominal):
+        return not scoped
+    if isinstance(phi, ActionDiamond):
+        return ref_has_unscoped_nominal(phi.body, True)
+    # an announced formula is evaluated on the current model, so an
+    # announcement does not scope nominals
+    return any(ref_has_unscoped_nominal(c, scoped) for c in children(phi))
+
+
+def ref_check_nu_positivity(phi):
+    if isinstance(phi, Nu) and not ref_polarity_ok(phi.body, phi.var, True):
+        raise PositivityViolation(f"fixpoint body is not positive in {phi.var!r}")
+    for c in children(phi):
+        ref_check_nu_positivity(c)
+
+
+def _positivity_error(check, phi):
+    try:
+        check(phi)
+    except PositivityViolation as e:
+        return str(e)
+    return None
+
+
 KIND_QUERIES = [
     *_NODE_KINDS, (ActionDiamond, Announce, Nu), (ExistsProp, ForallProp), Formula
 ]
@@ -318,6 +361,12 @@ def assert_facts_agree(phi):
             assert contains_node(f, kinds) == ref_contains_node(f, kinds)
         for var in ("p", "q", "r", "s"):
             assert is_positive_in(f, var) == ref_polarity_ok(f, var, True)
+        assert modal_depth(f) == ref_modal_depth(f)
+        assert f._facts.nominals == ref_nominals_read(f)
+        assert bool(f._facts.kinds & _UNSCOPED_BIT) == ref_has_unscoped_nominal(f)
+        error = _positivity_error(ref_check_nu_positivity, f)
+        assert bool(f._facts.kinds & _NONPOSITIVE_BIT) == (error is not None)
+        assert _positivity_error(check_nu_positivity, f) == error
 
 
 def harness_formulas(seed):
@@ -392,6 +441,19 @@ class TestCachedFacts:
         for f in (renamed, swapped):
             assert_facts_agree(f)
 
+    def test_positivity_names_first_fixpoint_in_preorder(self):
+        cases = [
+            (And(Nu("q", Not(q)), Nu("p", Not(p))), "q"),
+            # the outer fixpoint comes first, also when an inner one fails
+            (Nu("p", And(Not(p), Nu("q", Not(q)))), "p"),
+            (Nu("p", Box(And(p, Nu("q", Implies(q, r))))), "q"),
+        ]
+        for phi, var in cases:
+            assert phi._facts.kinds & _NONPOSITIVE_BIT
+            with pytest.raises(PositivityViolation, match=f"not positive in '{var}'"):
+                check_nu_positivity(phi)
+        assert not Nu("p", Box(p))._facts.kinds & _NONPOSITIVE_BIT
+
     def test_facts_stay_out_of_equality_and_repr(self):
         fresh = And(p, Box(q))
         asked = And(p, Box(q))
@@ -418,6 +480,40 @@ E3 = EventModel(
     frozenset((x, y) for x in ("a0", "a1", "a2") for y in ("a0", "a1", "a2")),
     {"a0": parse_formula("q"), "a1": TOP, "a2": parse_formula("~q")},
 )
+
+
+def _counting_children(monkeypatch):
+    """The nodes that `syntax.children` is called on from here on."""
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return children(f)
+
+    monkeypatch.setattr(syntax, "children", counting)
+    return calls
+
+
+class TestWalksRetired:
+    def test_depth_and_classify_read_the_facts(self, monkeypatch):
+        # 2,007,663 tree nodes at k = 10, so a tree walk took seconds
+        tower = parse_formula("<a0> " + "[] " * 8 + "(exists r. (r & <> r))")
+        out = eliminate_all(E3, tower).output
+        calls = _counting_children(monkeypatch)
+        assert modal_depth(out) == 9
+        assert classify(out) is LanguageTag.BASE_MSO
+        assert calls == []
+
+    def test_positivity_walk_follows_the_dag(self, monkeypatch):
+        # the encoded fixpoint: 354,293 tree nodes in the encoded body and
+        # 75 distinct, each read once per polarity at most
+        phi = parse_formula("nu x. (q & <a0> " + "[] " * 10 + "x)")
+        out = eliminate_all(E3, phi).output
+        body = out.body.right.body.right
+        assert out is nu_encoding("x", body)
+        calls = _counting_children(monkeypatch)
+        assert is_positive_in(body, "x")
+        assert 0 < len(calls) <= 2 * len(_distinct_nodes(body))
 
 
 class TestHashConsing:
