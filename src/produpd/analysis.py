@@ -14,7 +14,6 @@ from .models import (
     pair_world,
     product_update,
 )
-from .parser import model_to_jsonable, print_formula
 from .semantics import holds
 from .syntax import Formula
 
@@ -113,17 +112,6 @@ class DegreeCheckResult:
     @property
     def consistent(self) -> bool:
         return self.verdict == CONSISTENT
-
-    def to_jsonable(self) -> dict:
-        out = {"formula": print_formula(self.formula), "k": self.k, "verdict": self.verdict}
-        if self.counterexample is not None:
-            out["counterexample"] = {
-                "model": model_to_jsonable(self.counterexample.model),
-                "point": self.counterexample.point,
-                "full_value": self.full_value,
-                "submodel_value": self.submodel_value,
-            }
-        return out
 
 
 def check_degree(

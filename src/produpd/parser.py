@@ -1,5 +1,6 @@
-"""Concrete syntax: formula text in both directions, and JSON files for
-models, event models and tagged products.
+"""Concrete syntax: formula text in, and JSON files for models, event
+models and tagged products in both directions.  Formulas are written by
+`syntax.print_formula`, which is re-exported here.
 
 Grammar (quantifier scopes extend maximally to the right, unary operators
 bind tightest, `&` over `|` over right-associative `->`):
@@ -19,16 +20,13 @@ Identifiers start with a lowercase letter and may not look like a nominal
 rewriter's fresh propositions; only those ("_f0", "_f1", ...) are accepted
 back, so that printed rewrite output always re-parses.
 
-The connective table `_CONNECTIVES` is the one place where a connective
-is spelled: for each group (prefix, infix loosest first, binder, constant)
-it maps token kind -> (lexeme, node class).  The lexer, the parser and the
-printer all read it.
+Connectives are spelled only in the connective table `syntax.CONNECTIVES`;
+the lexer and the parser read it by lexeme, and a connective's token kind
+is its lexeme.
 
 Parsed nodes are hash-consed like all nodes, so re-parsing printed text
-returns the very formula that was printed.  The printer keeps each node's
-text on the node, so a rewritten tree is rendered once per distinct
-subterm.  Names in JSON files must match their pattern in full (no
-trailing newline).
+returns the very formula that was printed.  Names in JSON files must
+match their pattern in full (no trailing newline).
 
 The JSON readers check only a file's shape, its names and a top-level
 model's non-empty domain; the model constructors in `models` check the
@@ -45,26 +43,17 @@ from typing import NamedTuple
 from .errors import EmptyDomain, ParseError
 from .models import EventModel, KripkeModel, TaggedModel
 from .syntax import (
+    CONNECTIVES,
     FRESH_PREFIX,
     ActionDiamond,
-    And,
     Announce,
     Atom,
-    Bottom,
-    Box,
-    Diamond,
-    ExistsGlobal,
-    ExistsProp,
-    ForallProp,
     Formula,
-    Global,
     Implies,
     Nominal,
     Not,
-    Nu,
-    Or,
-    Top,
     check_nu_positivity,
+    print_formula,
 )
 
 
@@ -75,29 +64,15 @@ class SourceSpan:
     line: int
 
 
-_CONNECTIVES = {
-    "prefix": {
-        "NOT": ("~", Not),
-        "BOX": ("[]", Box),
-        "DIAMOND": ("<>", Diamond),
-        "GLOBAL": ("U", Global),
-        "EGLOBAL": ("E", ExistsGlobal),
-    },
-    "infix": {"ARROW": ("->", Implies), "OR": ("|", Or), "AND": ("&", And)},
-    "binder": {
-        "EXISTS": ("exists", ExistsProp),
-        "FORALL": ("forall", ForallProp),
-        "NU": ("nu", Nu),
-    },
-    "constant": {"TRUE": ("true", Top), "FALSE": ("false", Bottom)},
-}
-_PREFIX, _INFIX, _BINDER, _CONSTANT = _CONNECTIVES.values()
+# each group of the connective table read by lexeme, which is also the
+# connective's token kind
+_PREFIX, _INFIX, _BINDER, _CONSTANT = [
+    {lexeme: node for node, lexeme in group.items()} for group in CONNECTIVES.values()
+]
 _INFIX_LEVELS = list(_INFIX.items())
 
 # lexeme -> token kind: the connectives, then the brackets
-_LEXEMES = {
-    lexeme: kind for group in _CONNECTIVES.values() for kind, (lexeme, _) in group.items()
-} | {
+_LEXEMES = {lexeme: lexeme for group in CONNECTIVES.values() for lexeme in group.values()} | {
     "[!": "LANN_BOX",
     "<!": "LANN",
     "<": "LANGLE",
@@ -116,7 +91,7 @@ _TOKEN_RE = re.compile(
 )
 # the first character of a two-character lexeme, alone
 _UNFINISHED = {"-": "expected '->'", "[": "expected '[]' or '[!'"}
-_ATOM_STARTS = (*(lexeme for lexeme, _ in _CONSTANT.values()), "IDENT", "NOMINAL", "(")
+_ATOM_STARTS = (*_CONSTANT, "IDENT", "NOMINAL", "(")
 # names are checked with `fullmatch`: `$` would also match before a final
 # newline and admit "p\n", a name no formula can mention
 _NOMINAL_RE = re.compile(r"j[0-9]+")
@@ -193,16 +168,16 @@ class _Parser:
             self.pos += 1
             var = self.take("IDENT").value
             self.take("DOT")
-            return binder[1](var, self.formula())
+            return binder(var, self.formula())
         return self.infix()
 
     def infix(self, level: int = 0) -> Formula:
         # implied, ored and anded of the grammar: one level of `_INFIX`
         # each, loosest first; `->` groups to the right, the others left
-        kind, (_, node) = _INFIX_LEVELS[level]
+        kind, node = _INFIX_LEVELS[level]
         tighter = level + 1 < len(_INFIX_LEVELS)
         out = self.infix(level + 1) if tighter else self.unary()
-        if kind == "ARROW" and self.peek().kind == kind:
+        if node is Implies and self.peek().kind == kind:
             self.pos += 1
             return node(out, self.infix(level))
         while self.peek().kind == kind:
@@ -215,7 +190,7 @@ class _Parser:
         prefix = _PREFIX.get(kind)
         if prefix:
             self.pos += 1
-            return prefix[1](self.unary())
+            return prefix(self.unary())
         if kind == "LANGLE":
             self.pos += 1
             event = self.take("IDENT").value
@@ -236,7 +211,7 @@ class _Parser:
         constant = _CONSTANT.get(t.kind)
         if constant:
             self.pos += 1
-            return constant[1]()
+            return constant()
         if t.kind == "IDENT":
             self.pos += 1
             return Atom(t.value)
@@ -265,68 +240,13 @@ def parse_formula(text: str) -> Formula:
     return phi
 
 
-# node class -> (its group in the connective table, printed text); a prefix
-# is printed with one space before its operand, except `~`
-_SPELLING = {
-    node: (group, lexeme + " " if group is _PREFIX and lexeme != "~" else lexeme)
-    for group in _CONNECTIVES.values()
-    for lexeme, node in group.values()
-}
-_BINDER_NODES = frozenset(node for _, node in _BINDER.values())
-
-
-def _operand(phi: Formula) -> str:
-    # binaries print their own parentheses; only binder scopes need help
-    s = print_formula(phi)
-    return f"({s})" if type(phi) in _BINDER_NODES else s
-
-
-def print_formula(phi: Formula) -> str:
-    """Fully parenthesised rendering; reparsing yields the same tree.
-
-    A node's text does not depend on where the node occurs, so it is kept
-    on the node and each distinct subterm is rendered once.
-    """
-    text = getattr(phi, "_text", None)
-    if text is not None:
-        return text
-    cls = type(phi)
-    group, text = _SPELLING.get(cls, (None, None))
-    if group is _INFIX:
-        text = f"({_operand(phi.left)} {text} {_operand(phi.right)})"
-    elif group is _PREFIX:
-        text = text + _operand(phi.body)
-    elif group is _BINDER:
-        text = f"{text} {phi.var}. {print_formula(phi.body)}"
-    elif group is _CONSTANT:
-        pass  # the spelling is the text
-    elif cls is Atom:
-        text = phi.name
-    elif cls is Nominal:
-        text = f"j{phi.index}"
-    elif cls is ActionDiamond:
-        text = print_dynamic(phi.event, phi.body)
-    elif cls is Announce:
-        text = print_dynamic(phi.announced, phi.body)
-    else:
-        raise TypeError(f"not a formula node: {phi!r}")
-    object.__setattr__(phi, "_text", text)
-    return text
-
-
-def print_dynamic(modality: str | Formula, body: Formula) -> str:
-    """The text of `<modality> body` for an event name, or of
-    `<!modality> body` for an announced formula, without building the node."""
-    if isinstance(modality, str):
-        return f"<{modality}> " + _operand(body)
-    return f"<!{print_formula(modality)}> " + _operand(body)
-
-
 def _load_json(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object")
     return data

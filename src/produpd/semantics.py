@@ -79,6 +79,7 @@ from .errors import (
 from .models import EventModel, KripkeModel, as_tagged, pair_world
 from .syntax import (
     BOTTOM,
+    CONNECTIVES,
     ActionDiamond,
     And,
     Announce,
@@ -114,7 +115,6 @@ _MEMO_ARITY_CAP = 3
 # a free occurrence of a binder's variable under one of these leaves it no
 # locality radius (an announcement: in its announced formula)
 _NONLOCAL = frozenset({Global, ExistsGlobal, Nu, Announce})
-_BINDER_WORDS = {ExistsProp: "exists", ForallProp: "forall", Nu: "nu"}
 _EVENT_BIT = _KIND_BIT[ActionDiamond]
 # a conjunct holding one of these could raise or tick, so it bounds no search
 _NO_CEILING = sum(_KIND_BIT[k] for k in (ExistsProp, ForallProp, Nu, ActionDiamond, Announce))
@@ -284,7 +284,7 @@ class Evaluator:
             raise BudgetExceeded(
                 "subset enumeration budget exhausted "
                 f"({self.budget.max_total_subset_enumerations} subsets) while "
-                f"enumerating `{_BINDER_WORDS[type(binder)]} {binder.var}`: "
+                f"enumerating `{CONNECTIVES['binder'][type(binder)]} {binder.var}`: "
                 f"{self._work.ticks - 1} subsets tried so far"
             )
 

@@ -24,6 +24,12 @@ subterm, so `free_props`, `formula_size`, `quantifier_count`,
 `is_positive_in`, `substitute` and `all_props`, visit each distinct
 subterm once (`is_positive_in` once per polarity), and an error that
 names a node descends to it along the records that hold it.
+
+Formula text is written here.  `CONNECTIVES` is the one place where a
+connective is spelled; `print_formula` reads it, and `parser` reads it
+back to lex and parse.  A node's text does not depend on where the node
+occurs, so the printer keeps it in the node's `_text` slot, and a
+rewritten tree is rendered once per distinct subterm.
 """
 
 from __future__ import annotations
@@ -120,8 +126,6 @@ class Formula:
         return self  # immutable, and a walk would recurse once per level
 
     def __str__(self) -> str:
-        from .parser import print_formula  # parser imports syntax
-
         return print_formula(self)
 
 
@@ -285,6 +289,71 @@ class _Facts(NamedTuple):
 _NO_PROPS: frozenset[str] = frozenset()
 TOP = Top()
 BOTTOM = Bottom()
+
+
+# The connective table: for each group (prefix, infix loosest first,
+# binder, constant), node class -> lexeme.
+CONNECTIVES = {
+    "prefix": {Not: "~", Box: "[]", Diamond: "<>", Global: "U", ExistsGlobal: "E"},
+    "infix": {Implies: "->", Or: "|", And: "&"},
+    "binder": {ExistsProp: "exists", ForallProp: "forall", Nu: "nu"},
+    "constant": {Top: "true", Bottom: "false"},
+}
+_PREFIX, _INFIX, _BINDER, _CONSTANT = CONNECTIVES.values()
+# node class -> (its group in the connective table, printed text); a prefix
+# is printed with one space before its operand, except `~`
+_SPELLING = {
+    node: (group, lexeme + " " if group is _PREFIX and lexeme != "~" else lexeme)
+    for group in CONNECTIVES.values()
+    for node, lexeme in group.items()
+}
+
+
+def _operand(phi: Formula) -> str:
+    # binaries print their own parentheses; only binder scopes need help
+    s = print_formula(phi)
+    return f"({s})" if type(phi) in _BINDER else s
+
+
+def print_formula(phi: Formula) -> str:
+    """Fully parenthesised rendering; reparsing yields the same tree.
+
+    A node's text does not depend on where the node occurs, so it is kept
+    on the node and each distinct subterm is rendered once.
+    """
+    text = getattr(phi, "_text", None)
+    if text is not None:
+        return text
+    cls = type(phi)
+    group, text = _SPELLING.get(cls, (None, None))
+    if group is _INFIX:
+        text = f"({_operand(phi.left)} {text} {_operand(phi.right)})"
+    elif group is _PREFIX:
+        text = text + _operand(phi.body)
+    elif group is _BINDER:
+        text = f"{text} {phi.var}. {print_formula(phi.body)}"
+    elif group is _CONSTANT:
+        pass  # the spelling is the text
+    elif cls is Atom:
+        text = phi.name
+    elif cls is Nominal:
+        text = f"j{phi.index}"
+    elif cls is ActionDiamond:
+        text = print_dynamic(phi.event, phi.body)
+    elif cls is Announce:
+        text = print_dynamic(phi.announced, phi.body)
+    else:
+        raise TypeError(f"not a formula node: {phi!r}")
+    _set(phi, "_text", text)
+    return text
+
+
+def print_dynamic(modality: str | Formula, body: Formula) -> str:
+    """The text of `<modality> body` for an event name, or of
+    `<!modality> body` for an announced formula, without building the node."""
+    if isinstance(modality, str):
+        return f"<{modality}> " + _operand(body)
+    return f"<!{print_formula(modality)}> " + _operand(body)
 
 
 class LanguageTag(Enum):

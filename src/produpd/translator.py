@@ -60,7 +60,6 @@ from .errors import (
     UnknownEvent,
 )
 from .models import EventModel
-from .parser import print_dynamic, print_formula
 from .syntax import (
     BOTTOM,
     TOP,
@@ -91,6 +90,8 @@ from .syntax import (
     free_props,
     fresh_props,
     nu_encoding,
+    print_dynamic,
+    print_formula,
     quantifier_count,
     rebuild,
     substitute,
@@ -145,14 +146,22 @@ class TranslationReport:
 
 def expand_foralls(phi: Formula) -> Formula:
     """Replace every universal propositional quantifier by its negation
-    expansion, so downstream rules only meet the existential binder."""
-    if not contains_node(phi, ForallProp):
-        return phi
-    parts = tuple(expand_foralls(c) for c in children(phi))
-    out = rebuild(phi, parts)
-    if isinstance(out, ForallProp):
-        return Not(ExistsProp(out.var, Not(out.body)))
-    return out
+    expansion, so downstream rules only meet the existential binder.  Each
+    distinct node is visited once."""
+    done: dict[Formula, Formula] = {}
+
+    def go(f: Formula) -> Formula:
+        if not contains_node(f, ForallProp):
+            return f
+        out = done.get(f)
+        if out is None:
+            out = rebuild(f, tuple(go(c) for c in children(f)))
+            if isinstance(out, ForallProp):
+                out = Not(ExistsProp(out.var, Not(out.body)))
+            done[f] = out
+        return out
+
+    return go(phi)
 
 
 def fold_constants(phi: Formula) -> Formula:
@@ -403,6 +412,8 @@ def translate_announcement(
             "announcement translation takes formulas without event or fixpoint nodes"
         )
     prepared = expand_foralls(psi)
+    if prepared is not psi:
+        _record(steps, "expand-forall", announced, psi)
     return build(And, announced, _tr_ann(announced, prepared, steps, {}))
 
 

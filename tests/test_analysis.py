@@ -153,13 +153,6 @@ class TestCheckDegree:
         result = check_degree(ActionDiamond("a0", p), 0, [PointedModel(m, "w0")], events=a)
         assert result.consistent
 
-    def test_jsonable(self):
-        m = KripkeModel(("w0", "w1"), frozenset(), {"p": frozenset({"w0"})})
-        result = check_degree(parse_formula("U p"), 1, [PointedModel(m, "w0")])
-        data = result.to_jsonable()
-        assert data["verdict"] == COUNTEREXAMPLE
-        assert data["counterexample"]["point"] == "w0"
-
 
 class TestKStar:
     def test_max_plus_body(self):

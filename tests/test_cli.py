@@ -393,6 +393,19 @@ class TestDeepNesting:
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: formula nested too deeply\n"
 
+    @pytest.mark.parametrize("command", ["eval", "translate"])
+    def test_deep_json_is_a_parse_error(self, command, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = {
+            "eval": ["eval", "--model", str(deep), "--formula", "p"],
+            "translate": [
+                "translate", "--events", str(deep), "--event", "a0", "--formula", "p",
+            ],
+        }[command]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
     def test_eval_400_boxes(self, tmp_path, capsys):
         # the evaluator takes two frames per nesting level (the memo step
         # and the node's handler); a third would overflow before 400

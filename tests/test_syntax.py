@@ -395,6 +395,16 @@ def test_cached_facts_match_reference(seed):
         assert_facts_agree(phi)
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_str_is_the_printer(seed):
+    # `parser` re-exports the printer that `syntax` defines
+    assert print_formula is syntax.print_formula
+    assert str(And(Atom("str_probe"), Nu("x", Box(Atom("x"))))) == "(str_probe & (nu x. [] x))"
+    for phi in harness_formulas(seed):
+        for f in _distinct_nodes(phi):
+            assert str(f) == print_formula(f)
+
+
 class TestCachedFacts:
     def test_quantifier_count_names_first_in_preorder(self):
         nested = And(Box(Announce(p, Nu("q", q))), Nu("r", r))

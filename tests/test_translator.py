@@ -13,6 +13,7 @@ from produpd import (
     EventModel,
     ExistsGlobal,
     ExistsProp,
+    ForallProp,
     Global,
     Implies,
     InputNotSentenceFragment,
@@ -37,7 +38,8 @@ from produpd import (
 from produpd.harness import FuzzConfig, random_formula, random_model
 from produpd.models import announcement_event_model
 from produpd.semantics import Evaluator
-from produpd.syntax import FRESH_PREFIX, children, contains_node, free_props
+from produpd import translator
+from produpd.syntax import FRESH_PREFIX, children, contains_node, free_props, rebuild
 from produpd.translator import _FOLDED, _RAISING, build, fold_constants
 from test_rewrite_outcomes import family_cases, translation_cases
 from test_syntax import _distinct_nodes
@@ -154,7 +156,65 @@ class TestTranslateEventContracts:
             assert extension(m, ActionDiamond("a0", psi), events=a) == extension(m, chi)
 
 
+def _expand_reference(phi):
+    """`expand_foralls` as a plain walk of the tree."""
+    out = rebuild(phi, tuple(_expand_reference(c) for c in children(phi)))
+    if isinstance(out, ForallProp):
+        return Not(ExistsProp(out.var, Not(out.body)))
+    return out
+
+
+class TestExpandForalls:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_each_distinct_node_once(self, monkeypatch, k):
+        # the `forall` precondition is copied into each inner rewrite,
+        # whose output the outer `<a0>` expands again: as k goes from 1 to
+        # 5, a walk of the tree made 111 to 1,706 calls on inputs of 60 to
+        # 103 distinct nodes
+        a = EventModel(
+            ("a0", "a1", "a2"),
+            frozenset({("a0", "a0"), ("a0", "a1"), ("a1", "a1"),
+                       ("a1", "a2"), ("a2", "a0"), ("a2", "a2")}),
+            {"a0": parse_formula("forall s. (s -> q)"), "a1": TOP, "a2": parse_formula("~q")},
+        )
+        boxes = "[] " * k
+        phi = parse_formula(f"<a0> {boxes}<a0> {boxes}<a0> <> p")
+        expand, calls, visits, inside = translator.expand_foralls, [], [], []
+
+        def counting_expand(psi):
+            calls.append(psi)
+            inside.append(psi)
+            try:
+                out = expand(psi)
+            finally:
+                inside.pop()
+            assert out is _expand_reference(psi)
+            return out
+
+        def counting_children(f):
+            if inside:
+                visits.append(f)
+            return children(f)
+
+        monkeypatch.setattr(translator, "expand_foralls", counting_expand)
+        monkeypatch.setattr(translator, "children", counting_children)
+        eliminate_all(a, phi)
+        distinct = {id(f) for psi in calls for f in _distinct_nodes(psi)}
+        assert len(calls) <= len(distinct)
+        assert 0 < len(visits) <= len(distinct)
+
+
 class TestTranslateAnnouncement:
+    def test_records_forall_expansion(self):
+        # as `translate_event` does, the expansion is the first step
+        phi = parse_formula("<a0> <!p> (forall r. (r -> q))")
+        steps = eliminate_all(two_event_model(), phi).steps
+        assert (steps[0].rule, steps[0].at) == ("expand-forall", "<!p> (forall r. (r -> q))")
+        assert [s.rule for s in steps].count("expand-forall") == 1
+        steps = []
+        translate_announcement(p, parse_formula("exists r. (r -> q)"), steps=steps)
+        assert "expand-forall" not in [s.rule for s in steps]
+
     def test_atomic(self):
         announced = parse_formula("p | q")
         assert translate_announcement(announced, p) == And(announced, p)
