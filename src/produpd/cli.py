@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from functools import cache
 
 from .errors import ParseError, PositivityViolation, ProdupdError
@@ -197,21 +198,8 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    suites = SUITE_NAMES
-    if args.suites is not None:  # an empty value is a bad value, not an absent one
-        suites = tuple(s.strip() for s in args.suites.split(","))
     try:
-        cfg = FuzzConfig(
-            seed=args.seed,
-            cases=args.cases,
-            max_worlds=args.max_worlds,
-            max_events=args.max_events,
-            max_props=args.max_props,
-            max_formula_size=args.max_formula_size,
-            max_eps=args.max_eps,
-            edge_probability=args.edge_probability,
-            suites=suites,
-        )
+        cfg = FuzzConfig(**{f.name: getattr(args, f.name) for f in fields(FuzzConfig)})
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -299,17 +287,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="run the randomized oracle suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--max-worlds", type=int, default=4, dest="max_worlds")
-    p.add_argument("--max-events", type=int, default=3, dest="max_events")
-    p.add_argument("--max-props", type=int, default=3, dest="max_props")
+    # one flag per size knob: each `FuzzConfig` field with a default
+    for f in fields(FuzzConfig):
+        if f.default is not MISSING and f.name != "suites":
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=type(f.default), default=f.default)
     p.add_argument(
-        "--max-formula-size", type=int, default=12, dest="max_formula_size"
+        "--suites",
+        type=lambda text: tuple(s.strip() for s in text.split(",")),  # "" is a bad value
+        default=SUITE_NAMES,
+        help="comma-separated subset of " + ",".join(SUITE_NAMES),
     )
-    p.add_argument("--max-eps", type=int, default=2, dest="max_eps")
-    p.add_argument(
-        "--edge-probability", type=float, default=0.5, dest="edge_probability"
-    )
-    p.add_argument("--suites", help="comma-separated subset of " + ",".join(SUITE_NAMES))
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_fuzz)
 

@@ -7,7 +7,9 @@ class ProdupdError(Exception):
 
 class ParseError(ProdupdError):
     """Input text or JSON does not conform to the expected syntax, or a
-    model or event model breaks a structural invariant (see `models`).
+    model or event model breaks a structural invariant (see `models`)
+    other than a precondition outside the base language, which is a
+    `PreconditionNotBaseMso`.
 
     `span` is a SourceSpan for formula text (None for JSON-level errors);
     `expected` lists the token kinds that would have been accepted.

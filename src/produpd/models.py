@@ -12,8 +12,10 @@ reference, and what the `product` and `announce` commands print.
 The constructors of `KripkeModel`, `TaggedModel` and `EventModel` are the
 one place where structural invariants are checked (unique names, edges,
 valuations and total tags inside the domain, a base-language precondition
-for each of at least one event and for nothing else); a fault raises the
-`ParseError` subclass that names it.
+for each of at least one event and for nothing else).  A fault raises the
+`ParseError` subclass that names it, except a precondition outside the
+base language, which raises `PreconditionNotBaseMso`, a plain
+`ProdupdError` (exit 1 in the CLI, not 2).
 """
 
 from __future__ import annotations

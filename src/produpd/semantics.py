@@ -5,7 +5,7 @@ modality checks the whole domain, event diamonds evaluate their body in
 a product session and announcements in a relativised one, and the
 greatest fixpoint is computed by descending iteration.  World sets are
 integer bitmasks, and a child session is built from its parent's masks,
-in index space, without naming a model.
+in index space, without naming a model or its worlds.
 
 A quantifier does not always need every subset of the domain.  One
 static scan of each binder's body, cached for the session tree, reads
@@ -76,10 +76,11 @@ from .errors import (
     UnknownEvent,
     WorldOutOfModel,
 )
-from .models import EventModel, KripkeModel, as_tagged, pair_world
+from .models import EventModel, KripkeModel, as_tagged
 from .syntax import (
     BOTTOM,
     CONNECTIVES,
+    RAISING,
     ActionDiamond,
     And,
     Announce,
@@ -116,8 +117,8 @@ _MEMO_ARITY_CAP = 3
 # locality radius (an announcement: in its announced formula)
 _NONLOCAL = frozenset({Global, ExistsGlobal, Nu, Announce})
 _EVENT_BIT = _KIND_BIT[ActionDiamond]
-# a conjunct holding one of these could raise or tick, so it bounds no search
-_NO_CEILING = sum(_KIND_BIT[k] for k in (ExistsProp, ForallProp, Nu, ActionDiamond, Announce))
+# a conjunct that could raise or tick bounds no search (a nominal: see `_eval_block`)
+_NO_CEILING = sum(_KIND_BIT[k] for k in RAISING if k is not Nominal)
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,8 @@ class Evaluator:
     product worlds (w, e), or, with the event None, the worlds w that a
     relativisation keeps.  All of it comes from the parent's masks: the
     valuation lifted along w, one tag mask per event of a product, and an
-    edge wherever both w and e have one.
+    edge wherever both w and e have one.  A child has no `worlds` or
+    `index`: `extension`, `holds` and `mask_of` are for root sessions.
     """
 
     def __init__(self, model, events: EventModel | None = None, budget=None, _pairs=None):
@@ -206,7 +208,8 @@ class Evaluator:
             self._scans, self._event_deps = {}, {}
             self.worlds = list(self.model.worlds)
             self.index = {w: i for i, w in enumerate(self.worlds)}
-            self.succ = [0] * len(self.worlds)
+            self.n = len(self.worlds)
+            self.succ = [0] * self.n
             for u, v in self.model.relation:
                 self.succ[self.index[u]] |= 1 << self.index[v]
             self.base_val = {p: self.mask_of(xs) for p, xs in self.model.valuation.items()}
@@ -219,11 +222,7 @@ class Evaluator:
             self._pre_props = parent._pre_props
             self._scans, self._event_deps = parent._scans, parent._event_deps
             self._parent_index: list[int] = [i for i, _ in _pairs]
-            self.worlds = [
-                parent.worlds[i] if e is None else pair_world(parent.worlds[i], e)
-                for i, e in _pairs
-            ]
-            self.index = {w: i for i, w in enumerate(self.worlds)}
+            self.n = len(_pairs)
             self.base_val = {p: self._from_parent(m) for p, m in parent.base_val.items()}
             # per event, the tags its edges lead to; a relativisation keeps
             # every edge, and an empty child has no worlds to tag
@@ -238,7 +237,6 @@ class Evaluator:
             else:
                 self.tag_mask = {e: self._from_parent(m) for e, m in parent.tag_mask.items()}
             self.succ = [self._from_parent(parent.succ[i]) & reach[e] for i, e in _pairs]
-        self.n = len(self.worlds)
         self.full = (1 << self.n) - 1
         # the nominals below this index resolve here (see `_eval_nominal`)
         self._nominals = (

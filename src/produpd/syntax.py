@@ -255,6 +255,9 @@ class Announce(Formula):
 
 
 _BINDERS = (ExistsProp, ForallProp, Nu)
+# the nodes whose evaluation can raise or tick: a binder can exhaust its
+# budget, a nominal, event diamond or announcement can lack an event model
+RAISING = (*_BINDERS, Nominal, ActionDiamond, Announce)
 _MU_NODES = (Atom, Top, Bottom, Not, And, Or, Implies, Box, Diamond, Nu)
 _NODE_KINDS = (
     Atom, Nominal, Top, Bottom, Not, Box, Diamond, Global, ExistsGlobal,

@@ -16,10 +16,10 @@ one per event, guarded by conjuncts `U (f -> pre)` tying each fresh
 proposition to the corresponding precondition.  An announcement is the
 product update with one reflexive event whose precondition is the
 announced formula, so announcements reduce by the same table; only their
-leaf, nested-announcement and quantifier clauses are their own, the last
-guarded by the announced formula.  A nested announcement is translated
-in full before it is relativised to the outer one.  Greatest fixpoints
-are encoded with the propositional quantifier first.
+leaf, nested-announcement and quantifier clauses are their own, and the
+last binds by the event clause's rule (`_bind`).  A nested announcement
+is translated in full before it is relativised to the outer one.
+Greatest fixpoints are encoded with the propositional quantifier first.
 
 Every recursive event-translation call strictly decreases the pair
 (quantifier count, size) lexicographically: the quantifier case trades
@@ -44,9 +44,8 @@ skip an operand able to raise (a binder, nominal, event diamond or
 announcement) is not made.  Preconditions and announced formulas are
 copied verbatim, and the guards `U (f -> pre)` stay unfolded, since the
 evaluator reads them as guards; a guard whose precondition is `true` is
-left out, and a fresh binder whose proposition the folded body no longer
-reads is not emitted, nor is its guard, unless the precondition can
-raise.
+left out, and a binder whose proposition the folded body no longer reads
+is not emitted, nor is its guard, unless the precondition can raise.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from .errors import (
 from .models import EventModel
 from .syntax import (
     BOTTOM,
+    RAISING,
     TOP,
     ActionDiamond,
     And,
@@ -207,9 +207,6 @@ _FOLDED = (Not, And, Or, Implies, Box, Diamond, Global, ExistsGlobal)
 _UNIT_ZERO = {And: (TOP, BOTTOM), Or: (BOTTOM, TOP)}
 # for a modality: the operand that it leaves as it is, at every world
 _MODAL_FOLD = {Box: TOP, Global: TOP, Diamond: BOTTOM, ExistsGlobal: BOTTOM}
-# the nodes whose evaluation can raise: a binder can exhaust its budget, a
-# nominal, event diamond or announcement can lack an event model
-_RAISING = (ExistsProp, ForallProp, Nu, Nominal, ActionDiamond, Announce)
 
 
 def build(cls, *parts) -> Formula:
@@ -237,8 +234,8 @@ def build(cls, *parts) -> Formula:
             return right
         if right is BOTTOM:
             return build(Not, left)
-        if (right is TOP and not contains_node(left, _RAISING)) or (
-            left is BOTTOM and not contains_node(right, _RAISING)
+        if (right is TOP and not contains_node(left, RAISING)) or (
+            left is BOTTOM and not contains_node(right, RAISING)
         ):
             return TOP
     elif cls in _UNIT_ZERO:
@@ -248,7 +245,7 @@ def build(cls, *parts) -> Formula:
             return right
         if right is unit:
             return left
-        if left is zero or (right is zero and not contains_node(left, _RAISING)):
+        if left is zero or (right is zero and not contains_node(left, RAISING)):
             return zero
     return cls(*parts)
 
@@ -299,9 +296,10 @@ def translate_event(
     """Base-language formula equivalent to `<alpha> psi`.
 
     `psi` may contain nominals but no event diamonds, announcements or
-    fixpoints.  `measure_log` collects (parent, child) measure pairs for
-    every recursive call; the strict lexicographic decrease is checked
-    regardless.
+    fixpoints, and a nominal with no event in `a` raises `UnknownEvent`,
+    as the evaluator does.  `measure_log` collects (parent, child) measure
+    pairs for every recursive call; the strict lexicographic decrease is
+    checked regardless.
 
     Each (event, node) pair is rewritten once per call: a repeat returns
     the memoised result and replays the slice of `steps` that the first
@@ -313,6 +311,13 @@ def translate_event(
         raise InputNotSentenceFragment(
             "event translation takes formulas without dynamic or fixpoint nodes"
         )
+    n = len(a.events)
+    if psi._facts.nominals > n:
+        # name the first such nominal in pre-order, as the evaluator meets it
+        bad = psi
+        while type(bad) is not Nominal or bad.index < n:
+            bad = next(c for c in children(bad) if c._facts.nominals > n)
+        raise UnknownEvent(f"nominal j{bad.index} has no event in a model with {n} events")
     prepared = expand_foralls(psi)
     if prepared is not psi:
         _record(steps, "expand-forall", alpha, psi)
@@ -367,22 +372,23 @@ def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
         names = fresh_props(len(a.events), avoid)
         tagged = _join(Or, [And(Atom(f), Nominal(i)) for i, f in enumerate(names)])
         body = _tr_event(a, alpha, substitute(psi.body, psi.var, tagged), steps, log, m, memo)
-        # a prop that folding dropped from the body goes with its guard,
-        # which the empty set satisfies, unless the guard can raise
-        kept = [
-            (f, a.pre[e])
-            for f, e in zip(names, a.events)
-            if f in body._facts.free or contains_node(a.pre[e], _RAISING)
-        ]
-        # `U (f -> pre)` stays unfolded, since the evaluator reads it as a
-        # guard; with `pre` true it says nothing and is left out
-        guards = [Global(Implies(Atom(f), pre_f)) for f, pre_f in kept if pre_f is not TOP]
-        out = _join(And, guards + [body])
-        for name, _ in reversed(kept):
-            out = ExistsProp(name, out)
+        out = _bind(zip(names, [a.pre[e] for e in a.events]), body)
     else:
         raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
     memo[key] = (out, start, None if steps is None else len(steps))
+    return out
+
+
+def _bind(pairs, body: Formula) -> Formula:
+    """Both quantifier clauses' output: `exists f.` for each (f, pre) of
+    `pairs` over the guards `U (f -> pre)` and `body`, without the props
+    that `body` does not read unless pre can raise (see the module
+    docstring), and without the guards whose pre is `true`."""
+    kept = [(f, pre) for f, pre in pairs if f in body._facts.free or contains_node(pre, RAISING)]
+    guards = [Global(Implies(Atom(f), pre)) for f, pre in kept if pre is not TOP]
+    out = _join(And, guards + [body])
+    for f, _ in reversed(kept):
+        out = ExistsProp(f, out)
     return out
 
 
@@ -447,9 +453,7 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
             _record(steps, "alpha-rename", a, psi)
             var = fresh
         _record(steps, "ann-quantifier", a, psi)
-        out = build(And, Global(Implies(Atom(var), a)), _tr_ann(a, body, steps, memo))
-        if var in out._facts.free:  # else folding dropped the guard with the body
-            out = ExistsProp(var, out)
+        out = _bind([(var, a)], _tr_ann(a, body, steps, memo))
     elif isinstance(psi, Announce):
         # rewrite the inner announcement first; the equivalence it produces
         # holds in every model, the relativised one included

@@ -110,6 +110,65 @@ class TestEvalCommand:
         assert run(["eval", "--model", model_file, "--formula", "exists p. p"]) == 1
         assert "budget" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize(
+        "value,reason",
+        [
+            ("abc", "invalid literal for int() with base 10: 'abc'"),
+            ("0", "max_worlds_for_quantifier must be positive"),
+        ],
+    )
+    def test_bad_budget_env_exit_2(self, value, reason, model_file, capsys, monkeypatch):
+        monkeypatch.setenv("PRODUPD_BUDGET_WORLDS", value)
+        assert run(["eval", "--model", model_file, "--formula", "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad PRODUPD_BUDGET_WORLDS value {value!r}: {reason}\n"
+
+    def test_nominal_without_event_model_exit_1(self, tmp_path, capsys):
+        # the model is tagged, but no event model resolves the nominal
+        path = tmp_path / "tagged.json"
+        path.write_text(json.dumps({"worlds": ["w0"], "rel": [], "tags": {"w0": "a0"}}))
+        assert run(["eval", "--model", str(path), "--formula", "j0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nominal j0 needs an ambient event model to resolve\n"
+
+
+class TestJsonShapeErrors:
+    """Each shape fault in a model or event-model file exits 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"worlds": "w0"}, "'worlds' must be a list of strings"),
+            ({"worlds": ["w0", 1]}, "'worlds' must be a list of strings"),
+            ({"rel": {"w0": "w1"}}, "'rel' must be a list of pairs"),
+            ({"rel": [["w0"]]}, "bad relation entry ['w0']"),
+            ({"val": ["p"]}, "'val' must be an object mapping propositions to worlds"),
+            ({"val": {"p": "w0"}}, "valuation of 'p' must be a list of worlds"),
+        ],
+    )
+    def test_model(self, change, message, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**MODEL, **change}))
+        assert run(["eval", "--model", str(path), "--formula", "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"pre": ["q"]}, "'pre' must map events to formula strings"),
+            ({"pre": {"a0": 1, "a1": "true"}}, "precondition of 'a0' must be a formula string"),
+        ],
+    )
+    def test_event_model(self, change, message, tmp_path, capsys):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({**EVENTS, **change}))
+        assert run(["translate", "--events", str(path), "--event", "a0", "--formula", "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
 
 class TestProductCommand:
     def test_matches_library_output(self, model_file, events_file, capsys):
@@ -263,6 +322,50 @@ class TestBisimCommand:
         assert data["bisimilar"] is True
         assert data["pairs"] == [["w", "u"], ["w", "v"]]
 
+    @pytest.mark.parametrize(
+        "world2,out",
+        [("u", "bisimilar\nw ~ u\nw ~ v\n"), ("x", "not bisimilar\nw ~ u\nw ~ v\n")],
+    )
+    def test_human_output(self, world2, out, tmp_path, capsys):
+        # x has no p, so it is related to nothing
+        m1 = tmp_path / "m1.json"
+        m1.write_text(json.dumps({"worlds": ["w"], "rel": [["w", "w"]], "val": {"p": ["w"]}}))
+        m2 = tmp_path / "m2.json"
+        m2.write_text(
+            json.dumps(
+                {"worlds": ["u", "v", "x"], "rel": [["u", "v"], ["v", "u"]],
+                 "val": {"p": ["u", "v"]}}
+            )
+        )
+        argv = ["bisim", "--model1", str(m1), "--world1", "w",
+                "--model2", str(m2), "--world2", world2]
+        assert run(argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+
+FUZZ_HELP = """\
+usage: produpd fuzz [-h] [--seed SEED] [--cases CASES]
+                    [--max-worlds MAX_WORLDS] [--max-events MAX_EVENTS]
+                    [--max-props MAX_PROPS]
+                    [--max-formula-size MAX_FORMULA_SIZE] [--max-eps MAX_EPS]
+                    [--edge-probability EDGE_PROBABILITY] [--suites SUITES]
+                    [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --cases CASES
+  --max-worlds MAX_WORLDS
+  --max-events MAX_EVENTS
+  --max-props MAX_PROPS
+  --max-formula-size MAX_FORMULA_SIZE
+  --max-eps MAX_EPS
+  --edge-probability EDGE_PROBABILITY
+  --suites SUITES       comma-separated subset of translation,announcement,nom
+                        inals,fixpoint,bisim_lift,degree
+  --json
+"""
+
 
 class TestFuzzCommand:
     def test_small_run(self, capsys):
@@ -283,6 +386,23 @@ class TestFuzzCommand:
         out = capsys.readouterr().out
         assert "suite nominals: 3/3 passed" in out
         assert out.strip().endswith("ok")
+
+    def test_blowup_line(self, capsys):
+        argv = ["fuzz", "--seed", "1", "--cases", "3", "--suites", "translation,nominals"]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "blowup over 5 translations: size ratio mean 1.8 max 3.667, "
+            "output eps mean 0.0 max 0",
+            "ok",
+        ]
+
+    def test_help_bytes(self, capsys, monkeypatch):
+        # the size flags are read from `FuzzConfig`; the help text is the
+        # one the hand-written flags printed
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(["fuzz", "--help"]) == 0
+        assert capsys.readouterr().out == FUZZ_HELP
 
     def test_bad_config_exit_2(self, capsys):
         assert run(["fuzz", "--cases", "0"]) == 2

@@ -969,48 +969,70 @@ class TestChildSessions:
     """Product and relativised sessions, built from their parent's masks,
     equal sessions over the named reference models: `product_update` of
     the parent's model for a product, `relativise` with the tags kept for
-    a relativisation, at every depth of the session tree."""
+    a relativisation, at every depth of the session tree.  A child session
+    names no worlds; the test names them from its parent's names, its
+    parent index and, in a product, its tags."""
 
     @staticmethod
-    def layout(ev, skip):
+    def layout(names, ev, skip):
         # the named models drop empty valuations and tags; a prop bound
         # above a product is read from the env there, not from `base_val`
         return (
-            ev.worlds,
+            names,
             ev.succ,
             {p: m for p, m in ev.base_val.items() if m and p not in skip},
             {e: m for e, m in ev.tag_mask.items() if m},
         )
 
-    def check_children(self, ev, named, a, seen, skip=frozenset()):
-        """Compare every child below `ev`, whose named model is `named`."""
+    @staticmethod
+    def child_names(names, child, product):
+        out = [names[i] for i in child._parent_index]
+        if product:
+            for e, mask in child.tag_mask.items():
+                for c in range(child.n):
+                    if (mask >> c) & 1:
+                        out[c] = pair_world(out[c], e)
+        return out
+
+    def check_children(self, ev, names, named, a, seen, skip=frozenset()):
+        """Compare every child below `ev`, whose worlds are `names` and
+        whose named model is `named`."""
+        index = {w: i for i, w in enumerate(names)}
+
+        def worlds_of(mask):
+            return frozenset(w for i, w in enumerate(names) if (mask >> i) & 1)
+
         for key, child in ev._products.items():
             base = named.model
             for prop, mask in key:
-                base = with_valuation(base, prop, ev.worlds_of(mask))
+                base = with_valuation(base, prop, worlds_of(mask))
             ref = product_update(base, a)
             bound = skip | {prop for prop, _ in key}
             ref_index = Evaluator(ref, a).index
             parents = [
-                i for i, w in enumerate(ev.worlds) for e in a.events
+                i for i, w in enumerate(names) for e in a.events
                 if pair_world(w, e) in ref_index
             ]
-            self.compare(child, ref, a, parents, bound)
+            child_names = self.child_names(names, child, True)
+            self.compare(child, child_names, ref, a, parents, bound)
             seen["product" if child.n else "empty product"] += 1
             seen["bound precondition prop"] += bool(key)
-            self.check_children(child, ref, a, seen, bound)
+            self.check_children(child, child_names, ref, a, seen, bound)
         for a_mask, child in ev._relativised.items():
-            sub = relativise(named.model, ev.worlds_of(a_mask))
+            sub = relativise(named.model, worlds_of(a_mask))
             tags = {w: named.tags[w] for w in sub.worlds} if named.tags else {}
             ref = TaggedModel(sub, tags)
-            self.compare(child, ref, a, [ev.index[w] for w in sub.worlds], skip)
+            child_names = self.child_names(names, child, False)
+            self.compare(child, child_names, ref, a, [index[w] for w in sub.worlds], skip)
             seen["relativised" if child.n else "empty relativised"] += 1
             if named.tags:
                 seen["relativised product"] += 1
-            self.check_children(child, ref, a, seen, skip)
+            self.check_children(child, child_names, ref, a, seen, skip)
 
-    def compare(self, child, ref, a, parents, skip):
-        assert self.layout(child, skip) == self.layout(Evaluator(ref, a), skip)
+    def compare(self, child, names, ref, a, parents, skip):
+        assert not hasattr(child, "worlds") and not hasattr(child, "index")
+        named = Evaluator(ref, a)
+        assert self.layout(names, child, skip) == self.layout(named.worlds, named, skip)
         assert child._parent_index == parents
 
     def test_harness_inputs(self):
@@ -1044,5 +1066,5 @@ class TestChildSessions:
                 ev = Evaluator(m, events=events)
                 for phi in phis:
                     ev.extension(phi)
-                self.check_children(ev, TaggedModel(m, {}), events, seen)
+                self.check_children(ev, ev.worlds, TaggedModel(m, {}), events, seen)
         assert min(seen.values()) >= 20, seen

@@ -39,8 +39,16 @@ from produpd.harness import FuzzConfig, random_formula, random_model
 from produpd.models import announcement_event_model
 from produpd.semantics import Evaluator
 from produpd import translator
-from produpd.syntax import FRESH_PREFIX, children, contains_node, free_props, rebuild
-from produpd.translator import _FOLDED, _RAISING, build, fold_constants
+from produpd.syntax import (
+    FRESH_PREFIX,
+    RAISING,
+    alpha_equal,
+    children,
+    contains_node,
+    free_props,
+    rebuild,
+)
+from produpd.translator import _FOLDED, build, fold_constants
 from test_rewrite_outcomes import family_cases, translation_cases
 from test_syntax import _distinct_nodes
 
@@ -75,9 +83,18 @@ class TestNominalRules:
         a = two_event_model()
         assert translate_event(a, "a0", Nominal(1)) == Bottom()
 
-    def test_out_of_range_nominal_gives_false(self):
+    def test_out_of_range_nominal_raises(self):
+        # the checker's error, not a mismatch's `false`; of two such
+        # nominals, the first in pre-order, which the checker meets first
         a = two_event_model()
-        assert translate_event(a, "a0", Nominal(7)) == Bottom()
+        message = "nominal j7 has no event in a model with 2 events"
+        with pytest.raises(UnknownEvent, match=message):
+            translate_event(a, "a0", Nominal(7))
+        for psi in (Or(Nominal(7), q), Or(Nominal(7), Nominal(9))):
+            with pytest.raises(UnknownEvent, match=message):
+                eliminate_all(a, ActionDiamond("a0", psi))
+            with pytest.raises(UnknownEvent, match=message):
+                extension(KripkeModel(("w0",), frozenset(), {}), ActionDiamond("a0", psi), events=a)
 
 
 class TestQuantifierRule:
@@ -282,6 +299,32 @@ class TestTranslateAnnouncement:
             assert [s.rule for s in ann_steps] == [
                 "ann-" + s.rule for s in event_steps
             ]
+
+    def test_quantified_is_the_one_event_product_update(self):
+        # with binders, an announcement's rewrite is its one-event model's
+        # up to the names of bound props: one binder rule serves both
+        cfg = FuzzConfig(seed=3, cases=1)
+        for i in range(3000):
+            announced = random_formula(cfg, i, LanguageTag.BASE_MSO, label="a", max_eps=1)
+            psi = random_formula(cfg, i, LanguageTag.BASE_MSO, label="psi", max_eps=2)
+            out = translate_announcement(announced, psi)
+            event = translate_event(announcement_event_model(announced), "a0", psi)
+            assert alpha_equal(out, event), (i, print_formula(out), print_formula(event))
+
+    @pytest.mark.parametrize(
+        "announced,psi,expected",
+        [
+            # the body does not read r, so its binder and guard go
+            ("q", "exists r. true", "q"),
+            # a guard `U (r -> true)` says nothing and is left out
+            ("true", "exists r. <> r", "exists r. <> r"),
+        ],
+    )
+    def test_binder_rule(self, announced, psi, expected):
+        announced, psi = parse_formula(announced), parse_formula(psi)
+        out = translate_announcement(announced, psi)
+        assert print_formula(out) == expected
+        assert alpha_equal(out, translate_event(announcement_event_model(announced), "a0", psi))
 
     def test_rejects_non_base_announcement(self):
         with pytest.raises(PreconditionNotBaseMso):
@@ -584,7 +627,7 @@ class TestFoldedOutput:
                 if isinstance(f, ExistsProp) and f.var.startswith(FRESH_PREFIX):
                     assert f.var in free_props(f.body), print_formula(f)
                     body, pre = self.past_guards(f)
-                    assert f.var in free_props(body) or contains_node(pre, _RAISING)
+                    assert f.var in free_props(body) or contains_node(pre, RAISING)
 
     @staticmethod
     def past_guards(binder):
