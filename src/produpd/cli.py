@@ -205,7 +205,7 @@ def _cmd_fuzz(args) -> int:
         return 2
     report = run_fuzz(cfg)
     if args.json:
-        print(dump_json(report.to_jsonable(include_timing=True)))
+        print(dump_json(report.to_jsonable()))
     else:
         for name in cfg.suites:
             s = report.suites[name]

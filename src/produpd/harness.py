@@ -46,6 +46,7 @@ from .models import (
 from .parser import event_model_to_jsonable, model_to_jsonable, print_formula
 from .semantics import Evaluator, gfp_oracle
 from .syntax import (
+    CONNECTIVES,
     TOP,
     ActionDiamond,
     And,
@@ -239,59 +240,39 @@ def _gen_formula(
     def gen(size, parity, pos):
         if size <= 1:
             return leaf(parity, pos)
-        options = [
-            ("leaf", 2),
-            ("not", 2),
-            ("box", 2),
-            ("diamond", 2),
-        ]
+        # each kind but a leaf is drawn as its node class
+        options = [("leaf", 2), (Not, 2), (Box, 2), (Diamond, 2)]
         if size >= 3:
-            options += [("and", 3), ("or", 2), ("implies", 2)]
+            options += [(And, 3), (Or, 2), (Implies, 2)]
         if allow_global:
-            options += [("global", 1), ("somewhere", 1)]
+            options += [(Global, 1), (ExistsGlobal, 1)]
         if eps[0] > 0 and size >= 2:
-            options += [("exists", 3), ("forall", 1)]
+            options += [(ExistsProp, 3), (ForallProp, 1)]
         if allow_nu and nu_vars and size >= 3:
-            options.append(("nu", 2))
+            options.append((Nu, 2))
         if dyn_events and size >= 2:
-            options.append(("action", 2))
-        kind = _pick(rng, options)
-        if kind == "leaf":
+            options.append((ActionDiamond, 2))
+        node = _pick(rng, options)
+        if node == "leaf":
             return leaf(parity, pos)
-        if kind == "not":
-            return Not(gen(size - 1, not parity, pos))
-        if kind == "box":
-            return Box(gen(size - 1, parity, pos))
-        if kind == "diamond":
-            return Diamond(gen(size - 1, parity, pos))
-        if kind == "global":
-            return Global(gen(size - 1, parity, pos))
-        if kind == "somewhere":
-            return ExistsGlobal(gen(size - 1, parity, pos))
-        if kind in ("and", "or", "implies"):
+        # only `~` and the antecedent of `->` flip the parity
+        if node in CONNECTIVES["prefix"]:
+            return node(gen(size - 1, parity != (node is Not), pos))
+        if node in CONNECTIVES["infix"]:
             left_size = rng.randint(1, size - 2)
-            right_size = size - 1 - left_size
-            if kind == "and":
-                return And(gen(left_size, parity, pos), gen(right_size, parity, pos))
-            if kind == "or":
-                return Or(gen(left_size, parity, pos), gen(right_size, parity, pos))
-            return Implies(
-                gen(left_size, not parity, pos), gen(right_size, parity, pos)
-            )
-        if kind in ("exists", "forall"):
+            left = gen(left_size, parity != (node is Implies), pos)
+            return node(left, gen(size - 1 - left_size, parity, pos))
+        if node is ActionDiamond:
+            return node(rng.choice(dyn_events), gen(size - 1, parity, pos))
+        if node is Nu:
+            var = rng.choice(nu_vars)
+        else:
             eps[0] -= 1
             var = rng.choice(props)
-            inner = {k: v for k, v in pos.items() if k != var}
-            node = ExistsProp if kind == "exists" else ForallProp
-            return node(var, gen(size - 1, parity, inner))
-        if kind == "nu":
-            var = rng.choice(nu_vars)
-            inner = {k: v for k, v in pos.items() if k != var}
+        inner = {k: v for k, v in pos.items() if k != var}
+        if node is Nu:
             inner[var] = parity
-            return Nu(var, gen(size - 1, parity, inner))
-        if kind == "action":
-            return ActionDiamond(rng.choice(dyn_events), gen(size - 1, parity, pos))
-        raise AssertionError(kind)
+        return node(var, gen(size - 1, parity, inner))
 
     return gen(size, True, {} if positive_var is None else {positive_var: True})
 
@@ -362,18 +343,6 @@ def _domain_size(m: KripkeModel, a: EventModel) -> int:
     return sum(len(ev.extension(a.pre[e])) for e in a.events)
 
 
-def _enum_cost_bits(psi: Formula, n_events: int, domain: int) -> float:
-    # log2 of the brute-force work: each quantifier layer enumerates the
-    # product domain (guard restriction makes the rewritten side match),
-    # and each modal operator multiplies rewritten blocks by the event
-    # count
-    nesting = _quant_nesting(psi)
-    if nesting == 0:
-        return 0.0
-    per_event = math.log2(n_events) if n_events > 1 else 0.0
-    return nesting * domain + _modal_op_count(psi) * per_event
-
-
 def translation_case_inputs(cfg: FuzzConfig, case_index: int):
     """The (model, event model, formula) triple of one translation case.
 
@@ -387,20 +356,23 @@ def translation_case_inputs(cfg: FuzzConfig, case_index: int):
     psi = random_formula(
         cfg, case_index, LanguageTag.SCOPED_NOMINALS, n_events=len(a.events)
     )
-    budget_bits = 13.5
-    if _enum_cost_bits(psi, len(a.events), cfg.max_worlds * cfg.max_events) > 0:
+    # log2 of the brute-force work, at most 13.5 bits: each quantifier layer
+    # enumerates the product domain (guard restriction makes the rewritten
+    # side match), and each modal operator multiplies rewritten blocks by
+    # the event count, which the redraws keep
+    nesting, n = _quant_nesting(psi), len(a.events)
+    if nesting:
+        modal_bits = _modal_op_count(psi) * math.log2(n)
         for t in range(60):
-            if _enum_cost_bits(psi, len(a.events), _domain_size(m, a)) <= budget_bits:
+            if nesting * _domain_size(m, a) + modal_bits <= 13.5:
                 break
-            a = random_event_model(
-                cfg, case_index, label=f"events-retry{t}", n_events=len(a.events)
-            )
+            a = random_event_model(cfg, case_index, label=f"events-retry{t}", n_events=n)
         else:
             psi = random_formula(
                 cfg,
                 case_index,
                 LanguageTag.SCOPED_NOMINALS,
-                n_events=len(a.events),
+                n_events=n,
                 label="formula-flat",
                 max_eps=0,
             )
@@ -797,11 +769,8 @@ class FuzzReport:
             "ok": self.ok,
         }
 
-    def to_jsonable(self, include_timing: bool = False) -> dict:
-        out = self.payload()
-        if include_timing:
-            out["timing"] = self.timing
-        return out
+    def to_jsonable(self) -> dict:
+        return {**self.payload(), "timing": self.timing}
 
 
 def run_fuzz(cfg: FuzzConfig) -> FuzzReport:

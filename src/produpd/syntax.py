@@ -20,10 +20,12 @@ body is not positive in its variable.  Facts are built once per distinct
 subterm, so `free_props`, `formula_size`, `quantifier_count`,
 `contains_node`, `modal_depth` and `classify` answer in O(1).  One table,
 `_CHILD_FIELDS`, names each node class's child fields; `children`,
-`rebuild` and the constructor read it.  The walks that remain,
-`is_positive_in`, `substitute` and `all_props`, visit each distinct
-subterm once (`is_positive_in` once per polarity), and an error that
-names a node descends to it along the records that hold it.
+`rebuild` and the constructor read it.  `substitute` and the
+translator's forall expansion and constant folding are clauses of one
+memoised bottom-up map, `rewrite_up`.  It and the walks that remain,
+`is_positive_in` and `all_props`, visit each distinct subterm once
+(`is_positive_in` once per polarity), and an error that names a node
+descends to it along the records that hold it (`_first`).
 
 Formula text is written here.  `CONNECTIVES` is the one place where a
 connective is spelled; `print_formula` reads it, and `parser` reads it
@@ -381,7 +383,7 @@ def children(phi: Formula) -> tuple[Formula, ...]:
 def rebuild(phi: Formula, parts: tuple[Formula, ...]) -> Formula:
     """Rebuild a node with new children, reusing the original when unchanged
     (the parts compare by identity, as nodes do)."""
-    if parts == children(phi):
+    if parts == tuple([getattr(phi, name) for name in _CHILD_FIELDS[type(phi)]]):
         return phi
     fixed = phi.__match_args__[: len(phi.__match_args__) - len(parts)]
     return type(phi)(*[getattr(phi, name) for name in fixed], *parts)
@@ -444,18 +446,21 @@ def quantifier_count(phi: Formula) -> int:
     """
     facts = phi._facts
     if facts.kinds & _UNCOUNTED_MASK:
-        phi = _first(phi, _UNCOUNTED_MASK, lambda f: isinstance(f, (Nu, Announce)))
+        phi = _first(
+            phi, lambda f: f._facts.kinds & _UNCOUNTED_MASK, lambda f: isinstance(f, (Nu, Announce))
+        )
         raise InputNotSentenceFragment(
             f"quantifier count undefined on {type(phi).__name__} nodes"
         )
     return facts.binders
 
 
-def _first(phi: Formula, mask: int, found) -> Formula:
-    """The first node in pre-order that `found` accepts; `mask` marks it
-    and the nodes above it."""
+def _first(phi: Formula, enter, found) -> Formula:
+    """The first node in pre-order that `found` accepts, descending into
+    the first child that `enter` accepts; `enter` must accept the found
+    node and every node above it."""
     while not found(phi):
-        phi = next(c for c in children(phi) if c._facts.kinds & mask)
+        phi = next(c for c in children(phi) if enter(c))
     return phi
 
 
@@ -483,38 +488,49 @@ def fresh_props(count: int, avoid) -> list[str]:
     return out
 
 
+def rewrite_up(phi: Formula, enter, clause) -> Formula:
+    """The memoised bottom-up map of `clause` over `phi`.
+
+    `enter(node)` is falsy for a node returned as it is, and otherwise the
+    node to rewrite in its place, usually the node itself.  Each distinct
+    node is rewritten once: the children of what `enter` gave first, then
+    `clause(that node, its rewritten children)`.
+    """
+    done: dict[Formula, Formula] = {}
+
+    def go(f: Formula) -> Formula:
+        g = enter(f)
+        if not g:
+            return f
+        out = done.get(f)
+        if out is None:
+            out = done[f] = clause(g, tuple(go(c) for c in children(g)))
+        return out
+
+    return go(phi)
+
+
 def substitute(phi: Formula, target: str, replacement: Formula) -> Formula:
     """Capture-avoiding substitution of `replacement` for free `target`.
 
     Binders that would capture a free proposition of the replacement are
-    renamed deterministically to reserved fresh names.
+    renamed deterministically to reserved fresh names, before their body is
+    rewritten.
     """
     repl_free = free_props(replacement)
-    done: dict[Formula, Formula] = {}
 
-    def go(f: Formula) -> Formula:
+    def enter(f: Formula) -> Formula | None:
         if target not in free_props(f):
-            return f
-        out = done.get(f)
-        if out is not None:
-            return out
-        if isinstance(f, Atom):
-            out = replacement if f.name == target else f
-        elif isinstance(f, _BINDERS):
-            # target is free in f, hence distinct from the binder variable
-            if f.var in repl_free:
-                avoid = all_props(f.body) | repl_free | {target, f.var}
-                fresh = fresh_props(1, avoid)[0]
-                renamed = substitute(f.body, f.var, Atom(fresh))
-                out = type(f)(fresh, go(renamed))
-            else:
-                out = type(f)(f.var, go(f.body))
-        else:
-            out = rebuild(f, tuple(go(c) for c in children(f)))
-        done[f] = out
-        return out
+            return None
+        if type(f) in _BINDERS and f.var in repl_free:
+            fresh = fresh_props(1, all_props(f.body) | repl_free | {target, f.var})[0]
+            return type(f)(fresh, substitute(f.body, f.var, Atom(fresh)))
+        return f
 
-    return go(phi)
+    # target is free in an entered atom, so the atom is the target
+    return rewrite_up(
+        phi, enter, lambda f, parts: replacement if type(f) is Atom else rebuild(f, parts)
+    )
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
@@ -577,7 +593,9 @@ def check_nu_positivity(phi: Formula) -> None:
     in pre-order whose body is not positive in it."""
     if phi._facts.kinds & _NONPOSITIVE_BIT:
         phi = _first(
-            phi, _NONPOSITIVE_BIT, lambda f: type(f) is Nu and not is_positive_in(f.body, f.var)
+            phi,
+            lambda f: f._facts.kinds & _NONPOSITIVE_BIT,
+            lambda f: type(f) is Nu and not is_positive_in(f.body, f.var),
         )
         raise PositivityViolation(f"fixpoint body is not positive in {phi.var!r}")
 

@@ -82,6 +82,7 @@ from .syntax import (
     Nu,
     Or,
     Top,
+    _first,
     all_props,
     children,
     classify,
@@ -94,6 +95,7 @@ from .syntax import (
     print_formula,
     quantifier_count,
     rebuild,
+    rewrite_up,
     substitute,
 )
 
@@ -146,22 +148,15 @@ class TranslationReport:
 
 def expand_foralls(phi: Formula) -> Formula:
     """Replace every universal propositional quantifier by its negation
-    expansion, so downstream rules only meet the existential binder.  Each
-    distinct node is visited once."""
-    done: dict[Formula, Formula] = {}
+    expansion, so downstream rules only meet the existential binder.  A
+    clause of `rewrite_up`: each distinct node with a universal quantifier
+    below it is rewritten once."""
 
-    def go(f: Formula) -> Formula:
-        if not contains_node(f, ForallProp):
-            return f
-        out = done.get(f)
-        if out is None:
-            out = rebuild(f, tuple(go(c) for c in children(f)))
-            if isinstance(out, ForallProp):
-                out = Not(ExistsProp(out.var, Not(out.body)))
-            done[f] = out
-        return out
+    def clause(f: Formula, parts: tuple[Formula, ...]) -> Formula:
+        out = rebuild(f, parts)
+        return Not(ExistsProp(out.var, Not(out.body))) if type(out) is ForallProp else out
 
-    return go(phi)
+    return rewrite_up(phi, lambda f: contains_node(f, ForallProp) and f, clause)
 
 
 def fold_constants(phi: Formula) -> Formula:
@@ -169,18 +164,13 @@ def fold_constants(phi: Formula) -> Formula:
     diamond, `U` and `E` rebuilt through `build`.  The rewriters already
     build their output that way, so this folds only the constants that they
     copy verbatim: in preconditions, announced formulas, static parts of
-    the input and `U (f -> false)` guards."""
-    done: dict[Formula, Formula] = {}
+    the input and `U (f -> false)` guards.  A clause of `rewrite_up`, so
+    each distinct node is rebuilt once."""
 
-    def go(f: Formula) -> Formula:
-        out = done.get(f)
-        if out is None:
-            parts = tuple(go(c) for c in children(f))
-            cls = type(f)
-            out = done[f] = build(cls, *parts) if cls in _FOLDED else rebuild(f, parts)
-        return out
+    def clause(f: Formula, parts: tuple[Formula, ...]) -> Formula:
+        return build(type(f), *parts) if type(f) in _FOLDED else rebuild(f, parts)
 
-    return go(phi)
+    return rewrite_up(phi, lambda f: f, clause)
 
 
 # The reduction clause of each connective, read by both rewriters: the
@@ -314,9 +304,9 @@ def translate_event(
     n = len(a.events)
     if psi._facts.nominals > n:
         # name the first such nominal in pre-order, as the evaluator meets it
-        bad = psi
-        while type(bad) is not Nominal or bad.index < n:
-            bad = next(c for c in children(bad) if c._facts.nominals > n)
+        bad = _first(
+            psi, lambda f: f._facts.nominals > n, lambda f: type(f) is Nominal and f.index >= n
+        )
         raise UnknownEvent(f"nominal j{bad.index} has no event in a model with {n} events")
     prepared = expand_foralls(psi)
     if prepared is not psi:

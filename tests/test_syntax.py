@@ -26,6 +26,7 @@ from produpd import (
     Nominal,
     Not,
     Nu,
+    Or,
     PositivityViolation,
     alpha_equal,
     classify,
@@ -53,6 +54,7 @@ from produpd.syntax import (
     Diamond,
     Formula,
     ForallProp,
+    all_props,
     check_nu_positivity,
     children,
     contains_node,
@@ -155,6 +157,52 @@ class TestSubstitute:
         for i in range(80):
             phi = random_formula(cfg, i, LanguageTag.BASE_MSO)
             assert quantifier_count(substitute(phi, "p", And(q, r))) == quantifier_count(phi)
+
+    def test_shared_map_matches_reference(self):
+        # generated binders bind p, q and r, so a replacement that reads one
+        # of them renames the binders that capture it; in `nested` both
+        # binders capture `r | q` when p is replaced
+        replacements = [TOP, r, Or(r, q), And(Atom("s"), Nominal(0)), Or(p, Atom("_f0")),
+                        ExistsProp("q", q)]
+        nested = ExistsProp("q", And(q, ExistsProp("r", And(p, Or(q, r)))))
+        renamed = 0
+        for phi in [nested, *harness_formulas(1)]:
+            for f in _distinct_nodes(phi):
+                for target in ("p", "q", "r"):
+                    for rho in replacements:
+                        out = substitute(f, target, rho)
+                        assert out is ref_substitute(f, target, rho)
+                        renamed += not all_props(out) <= all_props(f) | all_props(rho)
+        assert renamed > 0
+
+
+def ref_substitute(phi, target, replacement):
+    """`substitute` as a walk of its own, memoised per call."""
+    repl_free = free_props(replacement)
+    done = {}
+
+    def go(f):
+        if target not in free_props(f):
+            return f
+        out = done.get(f)
+        if out is not None:
+            return out
+        if isinstance(f, Atom):
+            out = replacement if f.name == target else f
+        elif isinstance(f, _BINDERS):
+            if f.var in repl_free:
+                avoid = all_props(f.body) | repl_free | {target, f.var}
+                fresh = fresh_props(1, avoid)[0]
+                renamed = ref_substitute(f.body, f.var, Atom(fresh))
+                out = type(f)(fresh, go(renamed))
+            else:
+                out = type(f)(f.var, go(f.body))
+        else:
+            out = rebuild(f, tuple(go(c) for c in children(f)))
+        done[f] = out
+        return out
+
+    return go(phi)
 
 
 class TestFreshProps:

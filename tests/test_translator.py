@@ -38,7 +38,7 @@ from produpd import (
 from produpd.harness import FuzzConfig, random_formula, random_model
 from produpd.models import announcement_event_model
 from produpd.semantics import Evaluator
-from produpd import translator
+from produpd import syntax, translator
 from produpd.syntax import (
     FRESH_PREFIX,
     RAISING,
@@ -48,9 +48,9 @@ from produpd.syntax import (
     free_props,
     rebuild,
 )
-from produpd.translator import _FOLDED, build, fold_constants
+from produpd.translator import _FOLDED, build, expand_foralls, fold_constants
 from test_rewrite_outcomes import family_cases, translation_cases
-from test_syntax import _distinct_nodes
+from test_syntax import _distinct_nodes, harness_formulas
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -181,6 +181,26 @@ def _expand_reference(phi):
     return out
 
 
+def _fold_reference(phi):
+    """`fold_constants` as a plain walk of the tree."""
+    parts = tuple(_fold_reference(c) for c in children(phi))
+    return build(type(phi), *parts) if type(phi) in _FOLDED else rebuild(phi, parts)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_shared_map_matches_tree_walks(seed):
+    # about one generated formula in ten holds a universal quantifier, and
+    # the harness formulas hold none at these seeds
+    cfg = FuzzConfig(seed=seed, cases=1)
+    made = [random_formula(cfg, i, tag) for i in range(60)
+            for tag in (LanguageTag.BASE_MSO, LanguageTag.SCOPED_NOMINALS)]
+    assert sum(contains_node(f, ForallProp) for f in made) >= 3
+    for phi in [*harness_formulas(seed), *made]:
+        for f in _distinct_nodes(phi):
+            assert expand_foralls(f) is _expand_reference(f)
+            assert fold_constants(f) is _fold_reference(f)
+
+
 class TestExpandForalls:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_each_distinct_node_once(self, monkeypatch, k):
@@ -214,7 +234,8 @@ class TestExpandForalls:
             return children(f)
 
         monkeypatch.setattr(translator, "expand_foralls", counting_expand)
-        monkeypatch.setattr(translator, "children", counting_children)
+        # the walk is `syntax.rewrite_up`, which reads `syntax.children`
+        monkeypatch.setattr(syntax, "children", counting_children)
         eliminate_all(a, phi)
         distinct = {id(f) for psi in calls for f in _distinct_nodes(psi)}
         assert len(calls) <= len(distinct)
