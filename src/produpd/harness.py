@@ -47,6 +47,7 @@ from .parser import event_model_to_jsonable, model_to_jsonable, print_formula
 from .semantics import Evaluator, gfp_oracle
 from .syntax import (
     CONNECTIVES,
+    FLIPS,
     TOP,
     ActionDiamond,
     And,
@@ -255,12 +256,12 @@ def _gen_formula(
         node = _pick(rng, options)
         if node == "leaf":
             return leaf(parity, pos)
-        # only `~` and the antecedent of `->` flip the parity
+        # the first operand of a `FLIPS` connective has the opposite parity
         if node in CONNECTIVES["prefix"]:
-            return node(gen(size - 1, parity != (node is Not), pos))
+            return node(gen(size - 1, parity != (node in FLIPS), pos))
         if node in CONNECTIVES["infix"]:
             left_size = rng.randint(1, size - 2)
-            left = gen(left_size, parity != (node is Implies), pos)
+            left = gen(left_size, parity != (node in FLIPS), pos)
             return node(left, gen(size - 1 - left_size, parity, pos))
         if node is ActionDiamond:
             return node(rng.choice(dyn_events), gen(size - 1, parity, pos))

@@ -100,6 +100,7 @@ from .syntax import (
     Or,
     Top,
     _KIND_BIT,
+    check_nu_positivity,
     children,
     contains_node,
     free_props,
@@ -308,15 +309,23 @@ class Evaluator:
     # -- public surface --------------------------------------------------
 
     def extension(self, phi: Formula, env=None) -> frozenset[str]:
-        return self.worlds_of(self._eval(phi, dict(env) if env else {}))
+        return self.worlds_of(self._root(phi, env))
 
     def extension_mask(self, phi: Formula, env=None) -> int:
-        return self._eval(phi, dict(env) if env else {})
+        return self._root(phi, env)
 
     def holds(self, world: str, phi: Formula) -> bool:
         if world not in self.index:
             raise WorldOutOfModel(f"world {world!r} not in the model")
-        return bool((self._eval(phi, {}) >> self.index[world]) & 1)
+        return bool((self._root(phi, None) >> self.index[world]) & 1)
+
+    def _root(self, phi: Formula, env) -> int:
+        """`phi`'s mask for the public entry points, which refuse a `nu`
+        whose body is not positive, as `parse_formula` does; a non-node is
+        left to `_eval`, which names it."""
+        if isinstance(phi, Formula):
+            check_nu_positivity(phi)
+        return self._eval(phi, dict(env) if env else {})
 
     # -- the evaluator ---------------------------------------------------
 
@@ -734,11 +743,10 @@ def gfp_oracle(model: KripkeModel, var: str, body: Formula, budget=None):
     """Union of every subset on which the body holds throughout under the
     corresponding valuation override: the greatest-fixpoint extension,
     computed by flat subset enumeration as an independent cross-check."""
-    if not is_positive_in(body, var):
-        raise PositivityViolation(f"fixpoint body is not positive in {var!r}")
+    binder = Nu(var, body)
+    check_nu_positivity(binder)
     ev = Evaluator(model, budget=budget)
     ev._check_quantifier_domain()
-    binder = Nu(var, body)
     total = 0
     for x in _submasks(ev.full):
         ev._tick(binder)

@@ -20,9 +20,9 @@ body is not positive in its variable.  Facts are built once per distinct
 subterm, so `free_props`, `formula_size`, `quantifier_count`,
 `contains_node`, `modal_depth` and `classify` answer in O(1).  One table,
 `_CHILD_FIELDS`, names each node class's child fields; `children`,
-`rebuild` and the constructor read it.  `substitute` and the
-translator's forall expansion and constant folding are clauses of one
-memoised bottom-up map, `rewrite_up`.  It and the walks that remain,
+`rebuild` and the constructor read it.  `substitute`, `alpha_equal` and
+the translator's forall expansion and constant folding are clauses of
+one memoised bottom-up map, `rewrite_up`.  It and the walks that remain,
 `is_positive_in` and `all_props`, visit each distinct subterm once
 (`is_positive_in` once per polarity), and an error that names a node
 descends to it along the records that hold it (`_first`).
@@ -257,6 +257,8 @@ class Announce(Formula):
 
 
 _BINDERS = (ExistsProp, ForallProp, Nu)
+# the connectives whose first operand has the opposite polarity
+FLIPS = (Not, Implies)
 # the nodes whose evaluation can raise or tick: a binder can exhaust its
 # budget, a nominal, event diamond or announcement can lack an event model
 RAISING = (*_BINDERS, Nominal, ActionDiamond, Announce)
@@ -523,8 +525,7 @@ def substitute(phi: Formula, target: str, replacement: Formula) -> Formula:
         if target not in free_props(f):
             return None
         if type(f) in _BINDERS and f.var in repl_free:
-            fresh = fresh_props(1, all_props(f.body) | repl_free | {target, f.var})[0]
-            return type(f)(fresh, substitute(f.body, f.var, Atom(fresh)))
+            return rename(f, fresh_props(1, all_props(f.body) | repl_free | {target, f.var})[0])
         return f
 
     # target is free in an entered atom, so the atom is the target
@@ -533,38 +534,35 @@ def substitute(phi: Formula, target: str, replacement: Formula) -> Formula:
     )
 
 
+def rename(binder: Formula, name: str) -> Formula:
+    """`binder` with its variable renamed to `name`, which must not be free
+    in its body; `substitute` keeps the renaming free of capture."""
+    return type(binder)(name, substitute(binder.body, binder.var, Atom(name)))
+
+
 def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to renaming of bound propositions."""
+    """Structural equality up to renaming of bound propositions: the
+    canonical forms, each binder renamed to a prefix plus its binder count,
+    are one node.  That count exceeds the count of every binder below it,
+    so no renaming captures, and the prefix starts no name of f or g."""
+    names = all_props(f) | all_props(g)
+    prefix = "_c"
+    while any(name.startswith(prefix) for name in names):
+        prefix += "_"
 
-    def go(x, y, mx, my, depth):
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Atom):
-            sx, sy = mx.get(x.name), my.get(y.name)
-            if sx is None and sy is None:
-                return x.name == y.name
-            return sx == sy
-        if isinstance(x, Nominal):
-            return x.index == y.index
-        if isinstance(x, ActionDiamond) and x.event != y.event:
-            return False
-        if isinstance(x, _BINDERS):
-            mx2 = dict(mx)
-            my2 = dict(my)
-            mx2[x.var] = depth
-            my2[y.var] = depth
-            return go(x.body, y.body, mx2, my2, depth + 1)
-        cx, cy = children(x), children(y)
-        return len(cx) == len(cy) and all(
-            go(a, b, mx, my, depth) for a, b in zip(cx, cy)
-        )
+    def canonical(h: Formula, parts: tuple[Formula, ...]) -> Formula:
+        h = rebuild(h, parts)
+        return rename(h, f"{prefix}{h._facts.binders}") if type(h) in _BINDERS else h
 
-    return go(f, g, {}, {}, 0)
+    def enter(h: Formula) -> Formula | None:
+        return h if h._facts.binders else None
+
+    return rewrite_up(f, enter, canonical) is rewrite_up(g, enter, canonical)
 
 
 def is_positive_in(phi: Formula, var: str) -> bool:
     """True iff every free occurrence of `var` sits under an even number of
-    negations (implication antecedents count as one).  Each (node,
+    flips, the first operands of the `FLIPS` connectives.  Each (node,
     polarity) pair is visited once."""
     seen, stack = set(), [(phi, True)]
     while stack:
@@ -579,12 +577,10 @@ def is_positive_in(phi: Formula, var: str) -> bool:
         # var acts with both polarities
         if (cls is Atom and not positive) or (cls is Announce and var in f.announced._facts.free):
             return False
-        if cls is Not:
-            stack.append((f.body, not positive))
-        elif cls is Implies:
-            stack += [(f.left, not positive), (f.right, positive)]
-        else:
-            stack += [(c, positive) for c in children(f)]
+        flip = cls in FLIPS  # the first operand only
+        for c in children(f):
+            stack.append((c, positive != flip))
+            flip = False
     return True
 
 

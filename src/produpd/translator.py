@@ -95,6 +95,7 @@ from .syntax import (
     print_formula,
     quantifier_count,
     rebuild,
+    rename,
     rewrite_up,
     substitute,
 )
@@ -168,35 +169,30 @@ def fold_constants(phi: Formula) -> Formula:
     each distinct node is rebuilt once."""
 
     def clause(f: Formula, parts: tuple[Formula, ...]) -> Formula:
-        return build(type(f), *parts) if type(f) in _FOLDED else rebuild(f, parts)
+        return build(type(f), *parts) if type(f) in _CONNECTIVES else rebuild(f, parts)
 
     return rewrite_up(phi, lambda f: f, clause)
 
 
-# The reduction clause of each connective, read by both rewriters: the
-# rule name and, for a modality, which events its body is rewritten under,
-# those "related" to the current one or "every" event.  An announcement is
-# the product update with one reflexive event whose precondition is the
-# announced formula, so its clauses are these with the rule names prefixed
-# "ann-".
+# The reduction clause of each connective, read by both rewriters and by
+# `build`: the rule name and, for a modality, which events its body is
+# rewritten under, those "related" to the current one or "every" event,
+# and the join of its per-event parts.  An announcement is the product
+# update with one reflexive event whose precondition is the announced
+# formula, so its clauses are these with the rule names prefixed "ann-".
 _CONNECTIVES = {
-    Not: ("negation", None),
-    And: ("conjunction", None),
-    Or: ("disjunction", None),
-    Implies: ("implication", None),
-    Box: ("box", "related"),
-    Diamond: ("diamond", "related"),
-    Global: ("global", "every"),
-    ExistsGlobal: ("somewhere", "every"),
+    Not: ("negation", None, None),
+    And: ("conjunction", None, None),
+    Or: ("disjunction", None, None),
+    Implies: ("implication", None, None),
+    Box: ("box", "related", And),
+    Diamond: ("diamond", "related", Or),
+    Global: ("global", "every", And),
+    ExistsGlobal: ("somewhere", "every", Or),
 }
-_UNIVERSAL = (Box, Global)
-# the nodes `build` folds
-_FOLDED = (Not, And, Or, Implies, Box, Diamond, Global, ExistsGlobal)
 # for `&` and `|`: the constant that leaves the other operand as it is, and
 # the one that decides the node
 _UNIT_ZERO = {And: (TOP, BOTTOM), Or: (BOTTOM, TOP)}
-# for a modality: the operand that it leaves as it is, at every world
-_MODAL_FOLD = {Box: TOP, Global: TOP, Diamond: BOTTOM, ExistsGlobal: BOTTOM}
 
 
 def build(cls, *parts) -> Formula:
@@ -208,10 +204,12 @@ def build(cls, *parts) -> Formula:
     becomes `~X`.  `false & X` is false and `true | X` true: the evaluator
     never reads X there.  `X & false`, `X | true`, `X -> true` and
     `false -> X` fold only when X can raise nothing, so that no
-    evaluation loses an exception it raises unfolded.
+    evaluation loses an exception it raises unfolded.  `cls` is a
+    `_CONNECTIVES` key; a modality over its join's unit is that unit.
     """
-    if cls in _MODAL_FOLD:
-        if parts[0] is _MODAL_FOLD[cls]:
+    join = _CONNECTIVES[cls][2]
+    if join is not None:
+        if parts[0] is _UNIT_ZERO[join][0]:
             return parts[0]
     elif cls is Not:
         if parts[0] is TOP:
@@ -252,16 +250,15 @@ def _join(cls, parts) -> Formula:
 def _connect(psi: Formula, parts: list) -> Formula:
     """`psi`'s connective over its rewritten parts by its `_CONNECTIVES`
     clause, built through `build`.  A modality's parts are (precondition,
-    rewritten body) pairs, one per event, and each body is read only where
-    its precondition holds: a universal modality guards it with `pre ->`
-    and joins them with `&`, an existential one with `pre &` and joins
-    them with `|`."""
+    rewritten body) pairs, one per event, joined by the modality's join,
+    and each body is read only where its precondition holds: under `&` it
+    is guarded with `pre ->`, under `|` with `pre &`."""
     cls = type(psi)
-    if _CONNECTIVES[cls][1] is None:
+    join = _CONNECTIVES[cls][2]
+    if join is None:
         return build(cls, *parts)
-    if cls in _UNIVERSAL:
-        return _join(And, [build(cls, build(Implies, pre, body)) for pre, body in parts])
-    return _join(Or, [build(cls, build(And, pre, body)) for pre, body in parts])
+    guard = Implies if join is And else And
+    return _join(join, [build(cls, build(guard, pre, body)) for pre, body in parts])
 
 
 def _measure(phi: Formula) -> tuple[int, int]:
@@ -332,7 +329,7 @@ def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
     start = None if steps is None else len(steps)
     clause = _CONNECTIVES.get(type(psi))
     if clause is not None:
-        rule, scope = clause
+        rule, scope, _ = clause
         _record(steps, rule, alpha, psi)
         parts = []
         if scope is None:
@@ -423,7 +420,7 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
     start = None if steps is None else len(steps)
     clause = _CONNECTIVES.get(type(psi))
     if clause is not None:
-        rule, scope = clause
+        rule, scope, _ = clause
         _record(steps, "ann-" + rule, a, psi)
         parts = []
         if scope is None:
@@ -436,14 +433,12 @@ def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
         _record(steps, "ann-atom", a, psi)
         out = psi
     elif isinstance(psi, ExistsProp):
-        var, body = psi.var, psi.body
-        if var in free_props(a):
-            fresh = fresh_props(1, all_props(a) | all_props(psi))[0]
-            body = substitute(body, var, Atom(fresh))
+        bound = psi
+        if psi.var in free_props(a):
+            bound = rename(psi, fresh_props(1, all_props(a) | all_props(psi))[0])
             _record(steps, "alpha-rename", a, psi)
-            var = fresh
         _record(steps, "ann-quantifier", a, psi)
-        out = _bind([(var, a)], _tr_ann(a, body, steps, memo))
+        out = _bind([(bound.var, a)], _tr_ann(a, bound.body, steps, memo))
     elif isinstance(psi, Announce):
         # rewrite the inner announcement first; the equivalence it produces
         # holds in every model, the relativised one included
@@ -469,18 +464,16 @@ def eliminate_all(a: EventModel, phi: Formula, *, simplify: bool = False) -> Tra
     def rec(f: Formula) -> Formula:
         if not contains_node(f, _DYNAMIC):
             return f
-        if isinstance(f, Nu):
-            body = rec(f.body)
+        parts = [rec(c) for c in children(f)]
+        cls = type(f)
+        if cls is Nu:
             steps.append(TranslationStep("nu-encode", print_formula(f)))
-            return nu_encoding(f.var, body)
-        if isinstance(f, Announce):
-            announced = rec(f.announced)
-            body = rec(f.body)
-            return translate_announcement(announced, body, steps=steps)
-        if isinstance(f, ActionDiamond):
-            body = rec(f.body)
-            return translate_event(a, f.event, body, steps=steps)
-        return rebuild(f, tuple(rec(c) for c in children(f)))
+            return nu_encoding(f.var, *parts)
+        if cls is Announce:
+            return translate_announcement(*parts, steps=steps)
+        if cls is ActionDiamond:
+            return translate_event(a, f.event, *parts, steps=steps)
+        return rebuild(f, tuple(parts))
 
     out = rec(phi)
     if simplify:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -8,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import produpd
-from produpd import cli
+from produpd import cli, harness
 from produpd.cli import run
 from produpd.parser import parse_event_model, print_formula
-from produpd.syntax import ActionDiamond
+from produpd.syntax import BOTTOM, ActionDiamond
 from produpd.translator import TranslationReport, eliminate_all
 from test_rewrite_outcomes import THREE_EVENTS, announcement_nest, box_tower
 
@@ -132,6 +133,18 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: nominal j0 needs an ambient event model to resolve\n"
+
+    def test_fixpoint_that_does_not_descend_exit_2(self, model_file, tmp_path, capsys):
+        # `nu p. <a0> true` is positive in p, but a0's precondition is `~p`
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({"events": ["a0"], "rel": [["a0", "a0"]], "pre": {"a0": "~p"}}))
+        argv = ["eval", "--model", model_file, "--events", str(path),
+                "--formula", "nu p. <a0> true"]
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: fixpoint iteration for 'p' is not descending; the body is not monotone here\n",
+        )
 
 
 class TestJsonShapeErrors:
@@ -299,6 +312,18 @@ class TestTranslateCommand:
             "error: precondition of event 'a0' is not in the base language\n"
         )
 
+    def test_failed_sanity_check_exit_1(self, events_file, monkeypatch, capsys):
+        # `<a1> true` holds everywhere, so a `false` output fails the check
+        def wrong(*args, **kwargs):
+            return dataclasses.replace(eliminate_all(*args, **kwargs), output=BOTTOM)
+
+        monkeypatch.setattr(cli, "eliminate_all", wrong)
+        argv = ["translate", "--events", events_file, "--event", "a1", "--formula", "true"]
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "", "sanity check failed: translation output is not equivalent\n"
+        )
+
 
 class TestBisimCommand:
     def test_verdict_and_relation(self, tmp_path, capsys):
@@ -341,6 +366,12 @@ class TestBisimCommand:
                 "--model2", str(m2), "--world2", world2]
         assert run(argv) == 0
         assert capsys.readouterr() == (out, "")
+
+    def test_world_outside_its_model_exit_2(self, model_file, capsys):
+        argv = ["bisim", "--model1", model_file, "--world1", "zz",
+                "--model2", model_file, "--world2", "w0"]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: --world1: world 'zz' not in its model\n")
 
 
 FUZZ_HELP = """\
@@ -396,6 +427,17 @@ class TestFuzzCommand:
             "output eps mean 0.0 max 0",
             "ok",
         ]
+
+    def test_failing_suite_exit_1(self, capsys, monkeypatch):
+        # a wrong rewriter, injected as in `test_harness_failures`
+        monkeypatch.setattr(harness, "translate_event", lambda *a, **k: BOTTOM)
+        assert run(["fuzz", "--seed", "7", "--cases", "2", "--suites", "translation"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("suite translation: ") and " passed (" in lines[0]
+        assert lines[1].startswith("  first failure: {")
+        assert lines[-1] == "FAILED"
 
     def test_help_bytes(self, capsys, monkeypatch):
         # the size flags are read from `FuzzConfig`; the help text is the

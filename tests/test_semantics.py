@@ -342,6 +342,31 @@ class TestErrors:
             ev.extension(obj)
         with pytest.raises(TypeError, match="not a formula node"):
             ev.extension_mask(obj)
+        with pytest.raises(TypeError, match="not a formula node"):
+            ev.holds("w0", obj)
+
+    @pytest.mark.parametrize("q_worlds", [frozenset(), frozenset({"w0"})])
+    def test_non_positive_nu_is_refused(self, q_worlds):
+        # built through the API, so no parser checked it; iterated, it gave
+        # the empty set on one model and "not descending" on the other
+        m = KripkeModel(("w0",), frozenset(), {"q": q_worlds})
+        phi = Nu("x", And(q, Not(Atom("x"))))
+        ev = Evaluator(m)
+        for call in (ev.extension, ev.extension_mask, lambda f: ev.holds("w0", f)):
+            with pytest.raises(PositivityViolation, match="not positive in 'x'"):
+                call(phi)
+        with pytest.raises(PositivityViolation, match="not positive in 'x'"):
+            extension(m, phi)
+
+    def test_fixpoint_that_does_not_descend(self):
+        # positive in p, but the precondition reads p negatively: from the
+        # full set the body gives the empty set, and from there the full set
+        a = EventModel(("a0",), frozenset({("a0", "a0")}), {"a0": Not(p)})
+        with pytest.raises(
+            PositivityViolation,
+            match="fixpoint iteration for 'p' is not descending; the body is not monotone here",
+        ):
+            extension(two_chain(), parse_formula("nu p. <a0> true"), events=a)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

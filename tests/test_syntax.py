@@ -205,6 +205,32 @@ def ref_substitute(phi, target, replacement):
     return go(phi)
 
 
+class TestAlphaEqual:
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            (Box(p), Diamond(p)),
+            (Nu("x", Box(Atom("x"))), ExistsProp("x", Box(Atom("x")))),
+            (ActionDiamond("a0", Nominal(0)), ActionDiamond("a0", Nominal(1))),
+            (ActionDiamond("a0", p), ActionDiamond("a1", p)),
+            # y is free on the left and bound on the right
+            (ExistsProp("x", And(Atom("x"), Atom("y"))), ExistsProp("y", And(Atom("y"), Atom("y")))),
+            (parse_formula("exists x. exists x. x"), parse_formula("exists x. exists y. x")),
+            # a free name that starts with the first canonical prefix: both
+            # sides would read `exists _c1. _c1` under that prefix
+            (ExistsProp("x", Atom("_c1")), ExistsProp("y", Atom("y"))),
+        ],
+    )
+    def test_unequal(self, f, g):
+        assert not alpha_equal(f, g)
+        assert not alpha_equal(g, f)
+
+    def test_equal_beside_a_free_name_with_the_prefix(self):
+        f = ExistsProp("x", And(Atom("x"), Atom("_c1")))
+        assert alpha_equal(f, ExistsProp("y", And(Atom("y"), Atom("_c1"))))
+        assert alpha_equal(Nu("x", Box(Atom("x"))), Nu("y", Box(Atom("y"))))
+
+
 class TestFreshProps:
     def test_basic(self):
         assert fresh_props(2, {"p", "q"}) == ["_f0", "_f1"]

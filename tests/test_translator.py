@@ -48,7 +48,7 @@ from produpd.syntax import (
     free_props,
     rebuild,
 )
-from produpd.translator import _FOLDED, build, expand_foralls, fold_constants
+from produpd.translator import _CONNECTIVES, build, expand_foralls, fold_constants
 from test_rewrite_outcomes import family_cases, translation_cases
 from test_syntax import _distinct_nodes, harness_formulas
 
@@ -184,7 +184,7 @@ def _expand_reference(phi):
 def _fold_reference(phi):
     """`fold_constants` as a plain walk of the tree."""
     parts = tuple(_fold_reference(c) for c in children(phi))
-    return build(type(phi), *parts) if type(phi) in _FOLDED else rebuild(phi, parts)
+    return build(type(phi), *parts) if type(phi) in _CONNECTIVES else rebuild(phi, parts)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -680,7 +680,7 @@ class TestFoldedOutput:
                                                if isinstance(g, Announce))]:
                 copied.update(_distinct_nodes(f))
             for f in set(_distinct_nodes(out)) - copied:
-                if isinstance(f, _FOLDED) and not (
+                if type(f) in _CONNECTIVES and not (
                     isinstance(f, Implies) and f.right is BOTTOM
                     and isinstance(f.left, Atom) and f.left.name.startswith(FRESH_PREFIX)
                 ):
