@@ -36,7 +36,13 @@ B` at - passes A at + and B at -), and finds:
 - the binder's sign, with a radius: r itself read at + makes the body
   imply r, so only witnesses holding w decide w (the binder is pointed,
   and a world outside the guard is decided at once), and r read at -
-  makes only witnesses missing w decide it.
+  makes only witnesses missing w decide it;
+- the binder's extreme witness.  The guard conjuncts hold of every
+  subset of the guard, so with them left out, r read at + only makes
+  the guard decide every world at once, and r read at - only the empty
+  set (Ackermann's lemma; the pure-literal rule of QBF).  There is none
+  when r is in an announced formula or is a precondition prop under an
+  event diamond, where the domain depends on r.
 
 The search (`_eval_block`) decides one world at a time.  The worlds left
 are grouped by the part they would search, a group tries the submasks of
@@ -100,6 +106,7 @@ from .syntax import (
     Or,
     Top,
     _KIND_BIT,
+    check_nominals,
     check_nu_positivity,
     children,
     contains_node,
@@ -181,7 +188,8 @@ class Evaluator:
     `_MEMO_ARITY_CAP` of its deps are bound.  A quantifier searches
     only the worlds inside its ceiling (outside a `forall`'s floor), each
     only until it is decided, and tries for it only the witnesses that its
-    guard, its radius and its sign leave; a lone `exists` or `forall` is a
+    guard, its radius and its sign leave, or its extreme witness alone,
+    which decides every world at once; a lone `exists` or `forall` is a
     block of one, and the nu encoding is iterated (see the module
     docstring).  `events` supplies the ambient event model that event
     diamonds and nominals refer to.
@@ -325,6 +333,8 @@ class Evaluator:
         left to `_eval`, which names it."""
         if isinstance(phi, Formula):
             check_nu_positivity(phi)
+            if self.events is not None:
+                check_nominals(phi, len(self.events.events))
         return self._eval(phi, dict(env) if env else {})
 
     # -- the evaluator ---------------------------------------------------
@@ -422,10 +432,12 @@ class Evaluator:
             )
 
     def _scan(self, phi: ExistsProp | ForallProp) -> tuple:
-        """The binder's guard bodies, its locality radius (None when it has
-        none; see the module docstring), its sign, its ceiling and its fast
-        path, from one walk: `_eval_vacuous` when its body does not depend
-        on var, else `_shape`.
+        """The binder's member (guard bodies, locality radius, None when it
+        has none, sign and extreme witness; see the module docstring), its
+        ceiling and its fast path: `_eval_vacuous` when its body does not
+        depend on var, else `_shape`.  One walk finds all but the witness,
+        which `is_positive_in` reads with the guards left out: 1 for the
+        guard, -1 for the empty set, 0 for none.
 
         Guards, var's sign and the ceiling are read on the guard path, with
         a polarity (see the module docstring); at + it also passes an
@@ -450,14 +462,16 @@ class Evaluator:
             return got
         var = phi.var
         bodies: list[Formula] = []
+        guards: list[Formula] = []
         ceiling: list[Formula] = []
         # the polarities var itself is read at on the guard path
-        radius, signs = 0, set()
-        if var in self._pre_props and contains_node(phi.body, ActionDiamond):
-            radius = None
+        signs = set()
+        pre_bound = var in self._pre_props and contains_node(phi.body, ActionDiamond)
+        radius = None if pre_bound else 0
         # (node, modal depth, binders passed on the guard path or None off
         # it, and there the polarity: a `forall` body is read at -)
-        stack = [(phi.body, 0, frozenset(), 1 if type(phi) is ExistsProp else -1)]
+        start = 1 if type(phi) is ExistsProp else -1
+        stack = [(phi.body, 0, frozenset(), start)]
         # off the guard path, the deepest depth each node was walked at: a
         # shared subterm is walked again only deeper, not once per occurrence
         deepest: dict[Formula, int] = {}
@@ -496,6 +510,7 @@ class Evaluator:
                     if type(head) is Atom and head.name == var and var not in rhs._facts.free:
                         if not rhs._facts.free & shadowed:
                             bodies.append(rhs)
+                            guards.append(f)
                         continue
             if radius is None or deepest.get(f, -1) >= depth:
                 continue  # only guards are left to find, or nothing new
@@ -515,21 +530,29 @@ class Evaluator:
         # with no radius each world would try every witness anyway; with
         # both signs the body never holds, and either one is exact
         sign = 0 if radius is None or not signs else max(signs)
+        # var read at one polarity off its guards: 1 at +, -1 at -
+        witness, skip = 0, frozenset(guards)
+        if not pre_bound:
+            if is_positive_in(phi.body, var, skip):
+                witness = start
+            elif is_positive_in(phi.body, var, skip, False):
+                witness = -start
+        member = bodies, radius, sign, witness
         # with var not free the walk reads nothing, so no radius there
         # means a precondition prop that an event diamond's product reads
         if var not in phi.body._facts.free and radius is not None:
             shape = Evaluator._eval_vacuous, None
         elif type(phi) is ExistsProp:
-            shape = self._shape(phi, (bodies, radius, sign), ceiling)
+            shape = self._shape(phi, member, ceiling)
         else:
             shape = None
-        return self._scans.setdefault(phi, (bodies, radius, sign, ceiling, shape))
+        return self._scans.setdefault(phi, (member, ceiling, shape))
 
     def _shape(self, phi: ExistsProp, member: tuple, ceiling: list):
         """(handler, argument) of `phi`'s fast path, or None: the nu encoding
         with B positive in x and free of dynamic operators, or the head of a
         block whose members all have a radius.  `member` is `phi`'s
-        (guard bodies, radius, sign), and its ceiling the block's."""
+        (guard bodies, radius, sign, witness), and its ceiling the block's."""
         var, body = phi.var, phi.body
         match body:
             case And(right=Global(body=Implies(right=rhs))) if phi is nu_encoding(var, rhs):
@@ -540,12 +563,12 @@ class Evaluator:
         # ignores its variable (nested, one memo entry serves every witness)
         while type(body) is ExistsProp and body.var in body.body._facts.free.difference(names):
             names.append(body.var)
-            members.append(self._scan(body)[:3])
+            members.append(self._scan(body)[0])
             body = body.body
         # a guard naming a member puts that member under U, leaving it no
         # radius, so every guard can be evaluated once, outside the block
         if len(names) > 1 and var in phi.body._facts.free and all(
-            radius is not None for _, radius, _ in members
+            member[1] is not None for member in members
         ):
             return Evaluator._eval_block, (names, members, body, ceiling)
         return None
@@ -557,10 +580,9 @@ class Evaluator:
         return guard
 
     def _eval_quantifier(self, phi: ExistsProp | ForallProp, env: dict) -> int:
-        bodies, radius, sign, ceiling, shape = self._scan(phi)
+        member, ceiling, shape = self._scan(phi)
         if shape is not None:
             return shape[0](self, phi, env, shape[1])
-        member = (bodies, radius, sign)
         return self._eval_block(phi, env, ((phi.var,), (member,), phi.body, ceiling))
 
     def _eval_vacuous(self, phi: ExistsProp | ForallProp, env: dict, _) -> int:
@@ -577,22 +599,23 @@ class Evaluator:
         pointed member's guard; the rest are decided.  They are grouped by
         their part, per member guard_i & N_{d_i}(w) (guard_i when d_i is
         None), holding w where member i's sign is 1 and missing w where it
-        is -1.  Each group tries the tuples of submasks of its part until
-        all its worlds are decided, and a group already decided is skipped;
-        `tried` keeps any tuple from being tried twice.  `forall` collects
-        the worlds each witness falsifies.  When no world has a part, the
-        all-empty tuple is tried once (as a group that is never decided),
-        on an empty domain too, so the body is still evaluated."""
+        is -1, or member i's extreme witness alone.  Each group tries the
+        tuples of submasks of its part until all its worlds are decided,
+        and a group already decided is skipped; `tried` keeps any tuple
+        from being tried twice.  `forall` collects the worlds each witness
+        falsifies.  When no world has a part, the all-empty tuple is tried
+        once (as a group that is never decided), on an empty domain too,
+        so the body is still evaluated."""
         self._check_quantifier_domain()
         names, members, body, ceiling = block
         members = [
-            (self._guard(bodies, env), None if radius is None else self._hood(radius), sign)
-            for bodies, radius, sign in members
+            (self._guard(bodies, env), None if radius is None else self._hood(radius), *rest)
+            for bodies, radius, *rest in members
         ]
         # the worlds left to decide: inside each pointed member's guard
         # and the ceiling, evaluated only while some world is left
         todo = self.full
-        for guard, _, sign in members:
+        for guard, _, sign, _ in members:
             if sign > 0:
                 todo &= guard
         for f in ceiling:
@@ -604,7 +627,10 @@ class Evaluator:
             if not todo & bit:
                 continue
             part = []
-            for guard, hood, sign in members:
+            for guard, hood, sign, witness in members:
+                if witness:
+                    part.append((0, guard if witness > 0 else 0))
+                    continue
                 mask = guard if hood is None else guard & hood[i]
                 part.append((mask & ~bit, bit) if sign > 0 else (mask & ~bit if sign else mask, 0))
             part = tuple(part)
@@ -666,11 +692,6 @@ class Evaluator:
         if self.events is None:
             raise NominalOutsideProductContext(
                 f"nominal j{phi.index} needs an ambient event model to resolve"
-            )
-        if phi.index >= len(self.events.events):
-            raise UnknownEvent(
-                f"nominal j{phi.index} has no event in a model with "
-                f"{len(self.events.events)} events"
             )
         return self.tag_mask.get(self.events.events[phi.index], 0)
 

@@ -24,8 +24,8 @@ subterm, so `free_props`, `formula_size`, `quantifier_count`,
 the translator's forall expansion and constant folding are clauses of
 one memoised bottom-up map, `rewrite_up`.  It and the walks that remain,
 `is_positive_in` and `all_props`, visit each distinct subterm once
-(`is_positive_in` once per polarity), and an error that names a node
-descends to it along the records that hold it (`_first`).
+(`is_positive_in` once per polarity and skip set), and an error that
+names a node descends to it along the records that hold it (`_first`).
 
 Formula text is written here.  `CONNECTIVES` is the one place where a
 connective is spelled; `print_formula` reads it, and `parser` reads it
@@ -42,7 +42,7 @@ from enum import Enum
 from functools import cache, partial
 from typing import NamedTuple
 
-from .errors import InputNotSentenceFragment, PositivityViolation
+from .errors import InputNotSentenceFragment, PositivityViolation, UnknownEvent
 
 FRESH_PREFIX = "_f"
 
@@ -560,15 +560,18 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
     return rewrite_up(f, enter, canonical) is rewrite_up(g, enter, canonical)
 
 
-def is_positive_in(phi: Formula, var: str) -> bool:
-    """True iff every free occurrence of `var` sits under an even number of
-    flips, the first operands of the `FLIPS` connectives.  Each (node,
-    polarity) pair is visited once."""
-    seen, stack = set(), [(phi, True)]
+def is_positive_in(phi: Formula, var: str, skip=frozenset(), positive: bool = True) -> bool:
+    """True iff every free occurrence of `var` outside the `skip` nodes
+    sits under an even number of flips, the first operands of the `FLIPS`
+    connectives (an odd number, when `positive` is false).  A skipped node
+    is skipped only where it means what it means at `phi`: below a binder
+    of one of its free props, an event diamond or an announcement it is
+    read.  Each (node, polarity, skip) triple is visited once."""
+    seen, stack = set(), [(phi, positive, skip)]
     while stack:
         item = stack.pop()
-        f, positive = item
-        if var not in f._facts.free or item in seen:
+        f, positive, skip = item
+        if var not in f._facts.free or f in skip or item in seen:
             continue
         seen.add(item)
         cls = type(f)
@@ -577,9 +580,11 @@ def is_positive_in(phi: Formula, var: str) -> bool:
         # var acts with both polarities
         if (cls is Atom and not positive) or (cls is Announce and var in f.announced._facts.free):
             return False
+        if skip and (cls in _BINDERS or cls is ActionDiamond or cls is Announce):
+            skip = frozenset(g for g in skip if cls in _BINDERS and f.var not in g._facts.free)
         flip = cls in FLIPS  # the first operand only
         for c in children(f):
-            stack.append((c, positive != flip))
+            stack.append((c, positive != flip, skip))
             flip = False
     return True
 
@@ -594,6 +599,16 @@ def check_nu_positivity(phi: Formula) -> None:
             lambda f: type(f) is Nu and not is_positive_in(f.body, f.var),
         )
         raise PositivityViolation(f"fixpoint body is not positive in {phi.var!r}")
+
+
+def check_nominals(phi: Formula, n: int) -> None:
+    """Raise UnknownEvent naming the first nominal in pre-order with no
+    event in a model of `n` events."""
+    if phi._facts.nominals > n:
+        phi = _first(
+            phi, lambda f: f._facts.nominals > n, lambda f: type(f) is Nominal and f.index >= n
+        )
+        raise UnknownEvent(f"nominal j{phi.index} has no event in a model with {n} events")
 
 
 def classify(phi: Formula) -> LanguageTag:

@@ -82,8 +82,8 @@ from .syntax import (
     Nu,
     Or,
     Top,
-    _first,
     all_props,
+    check_nominals,
     children,
     classify,
     contains_node,
@@ -298,13 +298,7 @@ def translate_event(
         raise InputNotSentenceFragment(
             "event translation takes formulas without dynamic or fixpoint nodes"
         )
-    n = len(a.events)
-    if psi._facts.nominals > n:
-        # name the first such nominal in pre-order, as the evaluator meets it
-        bad = _first(
-            psi, lambda f: f._facts.nominals > n, lambda f: type(f) is Nominal and f.index >= n
-        )
-        raise UnknownEvent(f"nominal j{bad.index} has no event in a model with {n} events")
+    check_nominals(psi, len(a.events))
     prepared = expand_foralls(psi)
     if prepared is not psi:
         _record(steps, "expand-forall", alpha, psi)

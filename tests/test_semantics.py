@@ -217,6 +217,30 @@ class TestErrors:
         with pytest.raises(UnknownEvent):
             extension(m, ActionDiamond("a0", Nominal(3)), events=a)
 
+    @pytest.mark.parametrize(
+        "text,bad",
+        [
+            # evaluation never reaches the nominal: the conjunction stops
+            # at its false left side, or no world is left to search
+            ("<a0> ((p & ~p) & j7)", 7),
+            ("<a0> (exists r. ((r & ~r) & j5))", 5),
+            ("<a0> (j3 | j5)", 3),
+            ("(p & ~p) & j2", 2),
+        ],
+    )
+    def test_nominal_index_is_checked_before_evaluation(self, text, bad):
+        # the first such nominal in pre-order is named, as `translate_event`
+        # names it; two-event sessions on both entry points
+        phi = parse_formula(text)
+        message = f"nominal j{bad} has no event in a model with 2 events"
+        ev = Evaluator(three_cycle(), events=two_events())
+        for call in (ev.extension, lambda f: ev.holds("w0", f)):
+            with pytest.raises(UnknownEvent, match=f"^{message}$"):
+                call(phi)
+        if type(phi) is ActionDiamond:
+            with pytest.raises(UnknownEvent, match=f"^{message}$"):
+                translate_event(two_events(), "a0", phi.body)
+
     def test_quantifier_world_budget(self):
         worlds = tuple(f"w{i}" for i in range(5))
         m = KripkeModel(worlds, frozenset(), {})
@@ -262,8 +286,9 @@ class TestErrors:
         )
         # under E neither binder has a radius, so they nest: the empty p is
         # followed by the 8 subsets q tries under it, and the 8th subset
-        # tried is q's 7th
-        nested = parse_formula("exists p. exists q. E (p & q)")
+        # tried is q's 7th.  Each is read at both polarities, so neither
+        # has an extreme witness (`E (p & q)` tries one of each)
+        nested = parse_formula("exists p. exists q. E (p & ~p & q & ~q)")
         with pytest.raises(BudgetExceeded) as got:
             extension(m, nested, budget=EvalBudget(max_total_subset_enumerations=7))
         assert str(got.value).endswith("while enumerating `exists q`: 7 subsets tried so far")
@@ -276,10 +301,11 @@ class TestErrors:
 
     def test_block_reads_its_witnesses_lazily(self, monkeypatch):
         # every neighbourhood is the whole domain, so the block's one part
-        # holds 2^12 * 2^12 pairs; p = {w0} with a nonempty q makes the
-        # result full after 2^12 + 2 of them, and only the submasks those
-        # pairs read are built: p's first two, the 2^12 q's under the empty
-        # p and the two under p = {w0}
+        # holds 2^12 * 2^12 pairs; p = {w0} with q = {w0} makes the result
+        # full after 2^12 + 2 of them, and only the submasks those pairs
+        # read are built: p's first two, the 2^12 q's under the empty p and
+        # the two under p = {w0}.  Both members are read at both
+        # polarities, so neither has an extreme witness
         built = []
         submasks = semantics._submasks
 
@@ -291,7 +317,7 @@ class TestErrors:
         monkeypatch.setattr(semantics, "_submasks", counted)
         worlds = tuple(f"w{i}" for i in range(12))
         m = KripkeModel(worlds, frozenset((v, w) for v in worlds for w in worlds), {})
-        block = parse_formula("exists p. exists q. (<> p & <> q)")
+        block = parse_formula("exists p. exists q. (<> p & <> ~p & <> q & <> ~q)")
         ev = Evaluator(m)
         assert ev.extension(block) == set(worlds)
         assert ev._work.ticks == 2**12 + 2
@@ -308,8 +334,9 @@ class TestErrors:
     @pytest.mark.parametrize(
         "n,edges,text",
         [
-            # no radius under U: one part, the whole domain, for every world
-            (22, False, "exists r. U r"),
+            # no radius under U and E, and no extreme witness: one part,
+            # the whole domain, for every world
+            (22, False, "exists r. (U r & E ~r)"),
             # a block whose members' neighbourhoods are the whole domain
             (20, True, "exists r. exists s. (<> (r & s & ~r))"),
         ],
@@ -496,13 +523,18 @@ class TestWorkCounters:
             ("exists p. <a1> (<> p & [] q)", set(), (8, 70, 8, 0)),
             ("<!p | q> (~p & [!<> q] <> q)", {"w0", "w2"}, (0, 14, 0, 2)),
             ("nu x. (q & <> x)", {"w0", "w2"}, (0, 8, 0, 0)),
-            # a node over four props is memoised while at most three are bound
-            ("exists r. (<> r & (r | p | q | s))", {"w0", "w1", "w2"}, (4, 24, 0, 0)),
-            # a block of four, enumerated jointly
+            # r is read at + only, so its guard, the whole domain, is the one
+            # witness tried (4 ticks and 24 memo entries when each world
+            # searched; a node over four props is memoised while at most
+            # three are bound)
+            ("exists r. (<> r & (r | p | q | s))", {"w0", "w1", "w2"}, (1, 7, 0, 0)),
+            # a block of four, each member with that one witness, decided
+            # by one tuple (86 ticks and 38 memo entries when enumerated
+            # jointly)
             (
                 "exists r. exists s. exists t. exists u. (<> (r & s & t & u) | p)",
                 {"w0", "w1", "w2"},
-                (86, 38, 0, 0),
+                (1, 7, 0, 0),
             ),
             # no locality radius, so every subset is tried, as it always was:
             # r under U but not in guard form, under nu, in an announced
@@ -530,8 +562,9 @@ class TestWorkCounters:
             # a vacuous binder is its body, evaluated once without a tick
             ("exists q. <> p", {"w0"}, (0, 3, 0, 0)),
             ("forall q. <> p", {"w0"}, (0, 3, 0, 0)),
-            # p is its ceiling: only w1 is searched
-            ("exists r. exists q. (<> r & p)", {"w1"}, (3, 14, 0, 0)),
+            # p is its ceiling, so only w1 is left, and one witness decides
+            # it (3 ticks and 14 memo entries when w1 searched)
+            ("exists r. exists q. (<> r & p)", {"w1"}, (1, 6, 0, 0)),
             # U ~r is the guard U (r -> false): only the empty r is tried
             ("exists r. (U ~r & <> ~r & p)", {"w1"}, (1, 9, 0, 0)),
             # p is not free, but the product reads it: no vacuous binder
@@ -657,6 +690,37 @@ POINTED = {
     "exists r. (r & ~r & <> r)": [1],
 }
 
+# the extreme witness of each binder of the `exists` (or `forall`) chain,
+# outermost first: 1 when, its guards left out, its variable is read at +
+# only (its guard is the one witness), -1 when at - only (the empty set),
+# and 0 when it must search
+EXTREME = {
+    "exists r. (~r & <> ~r)": [-1],
+    "forall r. (<> r -> [] r)": [0],
+    # a precondition prop under an event diamond reshapes the product, and
+    # a variable in an announced formula the surviving domain
+    "exists p. (<> p & <a1> true)": [0],
+    "exists r. (<> r & <a1> [] r)": [1],
+    "exists r. <!r> [] false": [0],
+    "exists r. (<> r & <!q> [] r)": [1],
+    # under nu and under a nested binder, read at + only
+    "exists r. (<> ~q & (nu x. ((r | q) & <> x)))": [1],
+    "exists r. (<> r & (forall s. (s | [] r)))": [1],
+    "exists r. forall s. (~s | <> (r & ~s))": [1, 1],
+    "exists r. (<> r & (forall s. (<> (r & s) | [] r)))": [1],
+    # `forall` guards: U (r -> q) holds of every witness that can falsify
+    "forall r. (U (r -> q) -> ~r)": [1],
+    "forall r. (U (r -> q) -> <> r)": [-1],
+    "forall r. ((U (r -> q) & <> r) -> r)": [0],
+    # the guard node again off the guard path: left out where it means
+    # the same, read where q is rebound or the model is a product
+    "exists r. (U (r -> q) & <> r & [] U (r -> q))": [1],
+    "exists r. (U (r -> q) & <> r & (exists q. (~q & U (r -> q))))": [0],
+    "exists r. (U (r -> q) & <> r & <a1> U (r -> q))": [0],
+    # a block with one member of each kind
+    "exists r. exists s. (<> r & <> s & [] ~s)": [1, 0],
+}
+
 # the three spellings of one universal formula, which each tick 39 times
 # on `ten_worlds()`: 392 when each world tried every witness holding it,
 # and 576 for the first two when a `forall` and `~(A -> B)` under `exists`
@@ -692,15 +756,20 @@ class TestNeighbourhoodEnumeration:
         scan = Evaluator._scan
 
         def flat_scan(self, phi):
-            bodies, _, _, ceiling, _ = scan(self, phi)
-            return bodies, None, 0, ceiling, None
+            (bodies, *_), ceiling, _ = scan(self, phi)
+            return (bodies, None, 0, 0), ceiling, None
 
         monkeypatch.setattr(Evaluator, "_scan", flat_scan)
 
     @staticmethod
     def shapes_off(monkeypatch):
         scan = Evaluator._scan
-        monkeypatch.setattr(Evaluator, "_scan", lambda self, phi: (*scan(self, phi)[:4], None))
+
+        def unshaped_scan(self, phi):
+            (bodies, radius, sign, _), ceiling, _ = scan(self, phi)
+            return (bodies, radius, sign, 0), ceiling, None
+
+        monkeypatch.setattr(Evaluator, "_scan", unshaped_scan)
 
     @staticmethod
     def plain(monkeypatch):
@@ -869,24 +938,26 @@ class TestNeighbourhoodEnumeration:
             "exists r. exists s. (U (s -> r) & <> s & ~r)",
             "exists r. exists s. exists r. (<> r & s)",
             # ceilings: a nominal in a product, where it resolves, and at
-            # the root, where it would raise and the body never reads it; an
-            # index past the events; a prop an outer binder bounds; and
-            # conjuncts that could raise, which are none
+            # the root, where it would raise and the body never reads it; a
+            # prop an outer binder bounds; and conjuncts that could raise,
+            # which are none (an index past the events raises before
+            # evaluation: `test_nominal_index_is_checked_before_evaluation`)
             "<a1> (exists r. (<> r & j1 & ~r))",
             "<a1> (forall r. ((j1 & r) -> <> r))",
             "<a0> (forall r. ((<> r & ~j1) -> [] r))",
             "exists r. ((r & ~r) & j0)",
             "forall r. ((<> (r & ~r) & j1) -> r)",
-            "<a0> (exists r. ((r & ~r) & j5))",
             "exists s. (<> ~s & (exists r. (s & r & <> ~r)))",
             "exists s. (<> s & (forall r. ((s & r) -> <> r)))",
             "forall s. (s -> (exists r. (<> r & ~s & ~r)))",
             "exists r. (<> (r & ~r) & <a7> q)",
             "exists r. ((r & ~r) & (exists s. (s & <a7> q)))",
             "forall r. ((<> (r & ~r) & <!(<a7> q)> q) -> r)",
-            # the binders of `test_pointed`, and the rewriter's expansions
-            # of `forall r. (r -> <> [] r)` above (`UNIVERSAL_FORMS`)
+            # the binders of `test_pointed` and `test_extreme_witness`, and
+            # the rewriter's expansions of `forall r. (r -> <> [] r)` above
+            # (`UNIVERSAL_FORMS`)
             *POINTED,
+            *EXTREME,
             *UNIVERSAL_FORMS[1:],
             SINGLETON_SCHEMA,
         ],
@@ -901,9 +972,19 @@ class TestNeighbourhoodEnumeration:
         ev = Evaluator(three_cycle(), events=two_events())
         phi, signs = parse_formula(text), []
         while isinstance(phi, (ExistsProp, ForallProp)):
-            signs.append(ev._scan(phi)[2])
+            signs.append(ev._scan(phi)[0][2])
             phi = phi.body
         assert signs == POINTED[text]
+
+    @pytest.mark.parametrize("text", EXTREME)
+    def test_extreme_witness(self, text):
+        # each binder of the chain, outermost first
+        ev = Evaluator(three_cycle(), events=two_events())
+        phi, witnesses = parse_formula(text), []
+        while isinstance(phi, (ExistsProp, ForallProp)):
+            witnesses.append(ev._scan(phi)[0][3])
+            phi = phi.body
+        assert witnesses == EXTREME[text]
 
     @pytest.mark.parametrize("text", UNIVERSAL_FORMS)
     def test_universal_forms(self, monkeypatch, text):
@@ -926,8 +1007,9 @@ class TestNeighbourhoodEnumeration:
             # q is the expansion's ceiling and the `forall`'s floor
             ("q & r", "<> [] r", 5),
             ("q & <> r", "[] r", 8),
-            # a conjunct holding a binder is no ceiling
-            ("(exists s. (s & q)) & r & U (r -> ~q)", "<> r", 17),
+            # a conjunct holding a binder is no ceiling; s is read at + only,
+            # so it tries one witness (17 ticks when it searched)
+            ("(exists s. (s & q)) & r & U (r -> ~q)", "<> r", 13),
         ],
     )
     def test_forall_reads_its_antecedent(self, monkeypatch, antecedent, consequent, ticks):

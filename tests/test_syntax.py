@@ -295,6 +295,21 @@ class TestPositivity:
     def test_shadowing(self):
         assert is_positive_in(ExistsProp("p", Not(p)), "p")
 
+    def test_skipped_nodes(self):
+        # a skipped node is left out only where it means what it means at
+        # the root: not below a binder of one of its props, an event
+        # diamond or an announcement
+        guard = Global(Implies(p, q))
+        skip = frozenset({guard})
+        assert not is_positive_in(And(guard, p), "p")
+        assert is_positive_in(And(guard, p), "p", skip)
+        assert is_positive_in(And(guard, Box(guard)), "p", skip)
+        assert is_positive_in(ExistsProp("r", And(guard, p)), "p", skip)
+        for scope in (ExistsProp("q", guard), ActionDiamond("a0", guard), Announce(q, guard)):
+            assert not is_positive_in(And(p, scope), "p", skip)
+        assert is_positive_in(And(guard, Not(p)), "p", skip, positive=False)
+        assert not is_positive_in(And(guard, p), "p", skip, positive=False)
+
 
 class TestTreeUtilities:
     def test_positions_and_replace(self):
@@ -435,6 +450,7 @@ def assert_facts_agree(phi):
             assert contains_node(f, kinds) == ref_contains_node(f, kinds)
         for var in ("p", "q", "r", "s"):
             assert is_positive_in(f, var) == ref_polarity_ok(f, var, True)
+            assert is_positive_in(f, var, positive=False) == ref_polarity_ok(f, var, False)
         assert modal_depth(f) == ref_modal_depth(f)
         assert f._facts.nominals == ref_nominals_read(f)
         assert bool(f._facts.kinds & _UNSCOPED_BIT) == ref_has_unscoped_nominal(f)
