@@ -19,8 +19,8 @@ B` at - passes A at + and B at -), and finds:
   only subsets of that extension are tried;
 - the ceiling, the parts free of r and of every binder passed, each read
   at - entering as its negation, and holding no binder, event diamond or
-  announcement (so evaluating one never raises or ticks; a nominal is
-  used only where the session resolves it).  An `exists` body holds,
+  announcement (so evaluating one never raises or ticks; the entry
+  points refuse a nominal that would not resolve).  An `exists` body holds,
   and a `forall` body fails, only inside the ceiling, so an `exists` is
   false outside it without a witness, and a `forall` true there (its
   floor): `forall r. B` and its expansion `~ exists r. ~B` search the
@@ -106,6 +106,8 @@ from .syntax import (
     Or,
     Top,
     _KIND_BIT,
+    _UNSCOPED_BIT,
+    _first,
     check_nominals,
     check_nu_positivity,
     children,
@@ -113,6 +115,7 @@ from .syntax import (
     free_props,
     is_positive_in,
     nu_encoding,
+    polarities,
 )
 
 DEFAULT_QUANTIFIER_WORLDS = 16
@@ -125,7 +128,7 @@ _MEMO_ARITY_CAP = 3
 # locality radius (an announcement: in its announced formula)
 _NONLOCAL = frozenset({Global, ExistsGlobal, Nu, Announce})
 _EVENT_BIT = _KIND_BIT[ActionDiamond]
-# a conjunct that could raise or tick bounds no search (a nominal: see `_eval_block`)
+# a conjunct that could raise or tick bounds no search (a nominal cannot: see `_check`)
 _NO_CEILING = sum(_KIND_BIT[k] for k in RAISING if k is not Nominal)
 
 
@@ -247,10 +250,6 @@ class Evaluator:
                 self.tag_mask = {e: self._from_parent(m) for e, m in parent.tag_mask.items()}
             self.succ = [self._from_parent(parent.succ[i]) & reach[e] for i, e in _pairs]
         self.full = (1 << self.n) - 1
-        # the nominals below this index resolve here (see `_eval_nominal`)
-        self._nominals = (
-            len(self.events.events) if self.tag_mask and self.events is not None else 0
-        )
         self._memo: dict = {}
         self._products: dict = {}
         self._relativised: dict = {}
@@ -328,14 +327,28 @@ class Evaluator:
         return bool((self._root(phi, None) >> self.index[world]) & 1)
 
     def _root(self, phi: Formula, env) -> int:
-        """`phi`'s mask for the public entry points, which refuse a `nu`
-        whose body is not positive, as `parse_formula` does; a non-node is
-        left to `_eval`, which names it."""
+        """`phi`'s mask for the public entry points, after `_check`; a
+        non-node is left to `_eval`, which names it."""
         if isinstance(phi, Formula):
-            check_nu_positivity(phi)
-            if self.events is not None:
-                check_nominals(phi, len(self.events.events))
+            self._check(phi)
         return self._eval(phi, dict(env) if env else {})
+
+    def _check(self, phi: Formula) -> None:
+        """Refuse, before evaluating anything, a `nu` whose body is not
+        positive, as `parse_formula` does, and a nominal that would not
+        resolve: one with no event, or one outside every event diamond with
+        no tags or no event model here.  The first such node is named."""
+        check_nu_positivity(phi)
+        if self.events is not None:
+            check_nominals(phi, len(self.events.events))
+        if phi._facts.kinds & _UNSCOPED_BIT and not (self.tag_mask and self.events):
+            nominal = _first(
+                phi, lambda f: f._facts.kinds & _UNSCOPED_BIT, lambda f: type(f) is Nominal
+            )
+            why = "evaluated on a model without event tags"
+            if self.tag_mask:
+                why = "needs an ambient event model to resolve"
+            raise NominalOutsideProductContext(f"nominal j{nominal.index} {why}")
 
     # -- the evaluator ---------------------------------------------------
 
@@ -436,7 +449,7 @@ class Evaluator:
         has none, sign and extreme witness; see the module docstring), its
         ceiling and its fast path: `_eval_vacuous` when its body does not
         depend on var, else `_shape`.  One walk finds all but the witness,
-        which `is_positive_in` reads with the guards left out: 1 for the
+        which `polarities` reads with the guards left out: 1 for the
         guard, -1 for the empty set, 0 for none.
 
         Guards, var's sign and the ceiling are read on the guard path, with
@@ -531,12 +544,11 @@ class Evaluator:
         # both signs the body never holds, and either one is exact
         sign = 0 if radius is None or not signs else max(signs)
         # var read at one polarity off its guards: 1 at +, -1 at -
-        witness, skip = 0, frozenset(guards)
+        witness = 0
         if not pre_bound:
-            if is_positive_in(phi.body, var, skip):
-                witness = start
-            elif is_positive_in(phi.body, var, skip, False):
-                witness = -start
+            met = polarities(phi.body, var, frozenset(guards))
+            if len(met) < 2:
+                witness = -start if -1 in met else start
         member = bodies, radius, sign, witness
         # with var not free the walk reads nothing, so no radius there
         # means a precondition prop that an event diamond's product reads
@@ -619,7 +631,7 @@ class Evaluator:
             if sign > 0:
                 todo &= guard
         for f in ceiling:
-            if todo and f._facts.nominals <= self._nominals:
+            if todo:
                 todo &= self._eval(f, env)
         groups: dict = {}
         for i in range(self.n):
@@ -683,16 +695,7 @@ class Evaluator:
             x = y
 
     def _eval_nominal(self, phi: Nominal, env: dict) -> int:
-        if self.n == 0:
-            return 0
-        if not self.tag_mask:
-            raise NominalOutsideProductContext(
-                f"nominal j{phi.index} evaluated on a model without event tags"
-            )
-        if self.events is None:
-            raise NominalOutsideProductContext(
-                f"nominal j{phi.index} needs an ambient event model to resolve"
-            )
+        # an event that tags no world has no mask (none in an empty product)
         return self.tag_mask.get(self.events.events[phi.index], 0)
 
     def _product_session(self, env: dict) -> "Evaluator":
@@ -765,8 +768,8 @@ def gfp_oracle(model: KripkeModel, var: str, body: Formula, budget=None):
     corresponding valuation override: the greatest-fixpoint extension,
     computed by flat subset enumeration as an independent cross-check."""
     binder = Nu(var, body)
-    check_nu_positivity(binder)
     ev = Evaluator(model, budget=budget)
+    ev._check(binder)
     ev._check_quantifier_domain()
     total = 0
     for x in _submasks(ev.full):

@@ -23,9 +23,9 @@ subterm, so `free_props`, `formula_size`, `quantifier_count`,
 `rebuild` and the constructor read it.  `substitute`, `alpha_equal` and
 the translator's forall expansion and constant folding are clauses of
 one memoised bottom-up map, `rewrite_up`.  It and the walks that remain,
-`is_positive_in` and `all_props`, visit each distinct subterm once
-(`is_positive_in` once per polarity and skip set), and an error that
-names a node descends to it along the records that hold it (`_first`).
+`polarities` and `all_props`, visit each distinct subterm once
+(`polarities` once per polarity and skip set), and an error that names
+a node descends to it along the records that hold it (`_first`).
 
 Formula text is written here.  `CONNECTIVES` is the one place where a
 connective is spelled; `print_formula` reads it, and `parser` reads it
@@ -560,33 +560,39 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
     return rewrite_up(f, enter, canonical) is rewrite_up(g, enter, canonical)
 
 
-def is_positive_in(phi: Formula, var: str, skip=frozenset(), positive: bool = True) -> bool:
-    """True iff every free occurrence of `var` outside the `skip` nodes
-    sits under an even number of flips, the first operands of the `FLIPS`
-    connectives (an odd number, when `positive` is false).  A skipped node
-    is skipped only where it means what it means at `phi`: below a binder
-    of one of its free props, an event diamond or an announcement it is
-    read.  Each (node, polarity, skip) triple is visited once."""
-    seen, stack = set(), [(phi, positive, skip)]
-    while stack:
+def polarities(phi: Formula, var: str, skip=frozenset()) -> set[int]:
+    """The signs of the free occurrences of `var` outside the `skip` nodes:
+    1 under an even number of flips, the first operands of the `FLIPS`
+    connectives, -1 under an odd number, and both in an announced formula,
+    which shapes the surviving domain.  A skipped node is skipped only
+    where it means what it means at `phi`: below a binder of one of its
+    free props, an event diamond or an announcement it is read.  Each
+    (node, sign, skip) triple is visited once, until both signs are met."""
+    met, seen, stack = set(), set(), [(phi, 1, skip)]
+    while stack and len(met) < 2:
         item = stack.pop()
-        f, positive, skip = item
+        f, sign, skip = item
         if var not in f._facts.free or f in skip or item in seen:
             continue
         seen.add(item)
         cls = type(f)
-        # var is free in f: an atom is var itself, a binder binds another
-        # name, and an announced formula shapes the surviving domain, where
-        # var acts with both polarities
-        if (cls is Atom and not positive) or (cls is Announce and var in f.announced._facts.free):
-            return False
+        # var is free in f: an atom is var itself, a binder binds another name
+        if cls is Atom:
+            met.add(sign)
+        elif cls is Announce and var in f.announced._facts.free:
+            return {1, -1}
         if skip and (cls in _BINDERS or cls is ActionDiamond or cls is Announce):
             skip = frozenset(g for g in skip if cls in _BINDERS and f.var not in g._facts.free)
         flip = cls in FLIPS  # the first operand only
         for c in children(f):
-            stack.append((c, positive != flip, skip))
+            stack.append((c, -sign if flip else sign, skip))
             flip = False
-    return True
+    return met
+
+
+def is_positive_in(phi: Formula, var: str, skip=frozenset()) -> bool:
+    """True iff `var` occurs free outside `skip` at sign 1 only (`polarities`)."""
+    return -1 not in polarities(phi, var, skip)
 
 
 def check_nu_positivity(phi: Formula) -> None:

@@ -9,22 +9,27 @@ modality steps to the related events c (every event, for `U` and `E`):
 a universal one reads each t_c(phi) under `pre_c ->`, an existential one
 under `pre_c &`.  Every context that reads a t_b first states pre_b, so
 each precondition is stated once per product step and never inside it.
-One table (`_CONNECTIVES`) holds the clause of each connective.  The
-quantifier case routes through action nominals: the bound proposition is
-replaced by a disjunction of fresh propositions paired with nominals,
-one per event, guarded by conjuncts `U (f -> pre)` tying each fresh
-proposition to the corresponding precondition.  An announcement is the
-product update with one reflexive event whose precondition is the
-announced formula, so announcements reduce by the same table; only their
-leaf, nested-announcement and quantifier clauses are their own, and the
-last binds by the event clause's rule (`_bind`).  A nested announcement
-is translated in full before it is relativised to the outer one.
-Greatest fixpoints are encoded with the propositional quantifier first.
+An announcement is the product update with one reflexive event whose
+precondition is the announced formula, so one walk serves both rewrites:
+a context is an event or an announced formula, whose only related
+context is itself.  The walk holds the measure check, the memo and the
+clause of each connective (`_CONNECTIVES`); each rewrite adds a
+rule-name prefix (`ann-` for an announcement) and a table of clauses for
+the other node kinds.  Under an event a quantifier routes through action
+nominals: the bound proposition is replaced by a disjunction of fresh
+propositions paired with nominals, one per event, guarded by conjuncts
+`U (f -> pre)` tying each fresh proposition to the corresponding
+precondition.  Under an announcement a nominal is left as it is, a
+binder is kept, renamed away from the announced formula's props, and
+both bind by one rule (`_bind`); a nested announcement is translated in
+full before it is relativised to the outer one.  Greatest fixpoints are
+encoded with the propositional quantifier first.
 
-Every recursive event-translation call strictly decreases the pair
-(quantifier count, size) lexicographically: the quantifier case trades
-one binder for a quantifier-free disjunction, all other cases recurse on
-smaller formulas.  The check is enforced at run time.
+Every recursive call of the walk strictly decreases the pair (binder
+count, size) lexicographically, checked at run time: a quantifier clause
+recurses on a body with one binder fewer, every other clause on smaller
+formulas, but a translated nested announcement, which can be larger,
+starts a new descent.
 
 The rules repeat the same subproblem for every path through the event
 model, so the output is a tree far larger than its set of distinct
@@ -174,12 +179,11 @@ def fold_constants(phi: Formula) -> Formula:
     return rewrite_up(phi, lambda f: f, clause)
 
 
-# The reduction clause of each connective, read by both rewriters and by
-# `build`: the rule name and, for a modality, which events its body is
-# rewritten under, those "related" to the current one or "every" event,
-# and the join of its per-event parts.  An announcement is the product
-# update with one reflexive event whose precondition is the announced
-# formula, so its clauses are these with the rule names prefixed "ann-".
+# The reduction clause of each connective, read by the reduction walk and
+# by `build`: the rule name and, for a modality, which contexts its body
+# is rewritten under, those "related" to the current one or "every" one,
+# and the join of its per-context parts.  An announcement's clauses are
+# these with the rule names prefixed "ann-".
 _CONNECTIVES = {
     Not: ("negation", None, None),
     And: ("conjunction", None, None),
@@ -247,24 +251,6 @@ def _join(cls, parts) -> Formula:
     return out
 
 
-def _connect(psi: Formula, parts: list) -> Formula:
-    """`psi`'s connective over its rewritten parts by its `_CONNECTIVES`
-    clause, built through `build`.  A modality's parts are (precondition,
-    rewritten body) pairs, one per event, joined by the modality's join,
-    and each body is read only where its precondition holds: under `&` it
-    is guarded with `pre ->`, under `|` with `pre &`."""
-    cls = type(psi)
-    join = _CONNECTIVES[cls][2]
-    if join is None:
-        return build(cls, *parts)
-    guard = Implies if join is And else And
-    return _join(join, [build(cls, build(guard, pre, body)) for pre, body in parts])
-
-
-def _measure(phi: Formula) -> tuple[int, int]:
-    return (quantifier_count(phi), formula_size(phi))
-
-
 def _record(steps, rule: str, modality: str | Formula, psi: Formula):
     # the step's text is `<modality> psi`, or `<!modality> psi` for an
     # announced formula, printed without building that node
@@ -299,86 +285,7 @@ def translate_event(
             "event translation takes formulas without dynamic or fixpoint nodes"
         )
     check_nominals(psi, len(a.events))
-    prepared = expand_foralls(psi)
-    if prepared is not psi:
-        _record(steps, "expand-forall", alpha, psi)
-    return build(And, a.pre[alpha], _tr_event(a, alpha, prepared, steps, measure_log, None, {}))
-
-
-def _tr_event(a, alpha, psi, steps, log, parent, memo) -> Formula:
-    """`psi` read at the product world (w, alpha) of a world w where
-    alpha's precondition holds: `<alpha> psi` is the precondition and this."""
-    m = _measure(psi)
-    if parent is not None:
-        if log is not None:
-            log.append((parent, m))
-        if not m < parent:
-            raise ProdupdError(
-                f"translation measure did not decrease: {parent} -> {m}"
-            )
-    key = (alpha, psi)
-    done = memo.get(key)
-    if done is not None:
-        return _replay(steps, done)
-    start = None if steps is None else len(steps)
-    clause = _CONNECTIVES.get(type(psi))
-    if clause is not None:
-        rule, scope, _ = clause
-        _record(steps, rule, alpha, psi)
-        parts = []
-        if scope is None:
-            for c in children(psi):
-                parts.append(_tr_event(a, alpha, c, steps, log, m, memo))
-        else:
-            for b in a.events:
-                if scope == "every" or (alpha, b) in a.relation:
-                    body = _tr_event(a, b, psi.body, steps, log, m, memo)
-                    parts.append((a.pre[b], body))
-        out = _connect(psi, parts)
-    elif isinstance(psi, (Atom, Top, Bottom)):
-        _record(steps, "atom", alpha, psi)
-        out = psi
-    elif isinstance(psi, Nominal):
-        if psi.index == a.index_of(alpha):
-            _record(steps, "nominal-match", alpha, psi)
-            out = TOP
-        else:
-            _record(steps, "nominal-mismatch", alpha, psi)
-            out = BOTTOM
-    elif isinstance(psi, ExistsProp):
-        _record(steps, "quantifier", alpha, psi)
-        avoid = set(all_props(psi))
-        for f in a.pre.values():
-            avoid |= all_props(f)
-        names = fresh_props(len(a.events), avoid)
-        tagged = _join(Or, [And(Atom(f), Nominal(i)) for i, f in enumerate(names)])
-        body = _tr_event(a, alpha, substitute(psi.body, psi.var, tagged), steps, log, m, memo)
-        out = _bind(zip(names, [a.pre[e] for e in a.events]), body)
-    else:
-        raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
-    memo[key] = (out, start, None if steps is None else len(steps))
-    return out
-
-
-def _bind(pairs, body: Formula) -> Formula:
-    """Both quantifier clauses' output: `exists f.` for each (f, pre) of
-    `pairs` over the guards `U (f -> pre)` and `body`, without the props
-    that `body` does not read unless pre can raise (see the module
-    docstring), and without the guards whose pre is `true`."""
-    kept = [(f, pre) for f, pre in pairs if f in body._facts.free or contains_node(pre, RAISING)]
-    guards = [Global(Implies(Atom(f), pre)) for f, pre in kept if pre is not TOP]
-    out = _join(And, guards + [body])
-    for f, _ in reversed(kept):
-        out = ExistsProp(f, out)
-    return out
-
-
-def _replay(steps, done) -> Formula:
-    """A memoised rewrite's output, re-recording the steps it recorded."""
-    out, start, end = done
-    if steps is not None:
-        steps.extend(steps[start:end])
-    return out
+    return _EventWalk(steps, measure_log, a).reduce(alpha, a.pre[alpha], psi)
 
 
 def translate_announcement(
@@ -398,50 +305,133 @@ def translate_announcement(
         raise InputNotSentenceFragment(
             "announcement translation takes formulas without event or fixpoint nodes"
         )
-    prepared = expand_foralls(psi)
-    if prepared is not psi:
-        _record(steps, "expand-forall", announced, psi)
-    return build(And, announced, _tr_ann(announced, prepared, steps, {}))
+    return _AnnouncementWalk(steps).reduce(announced, announced, psi)
 
 
-def _tr_ann(a: Formula, psi: Formula, steps, memo) -> Formula:
-    """`psi` read in the model relativised to `a`, at a world where `a`
-    holds: `<!a> psi` is `a` and this."""
-    key = (a, psi)
-    done = memo.get(key)
-    if done is not None:
-        return _replay(steps, done)
-    start = None if steps is None else len(steps)
-    clause = _CONNECTIVES.get(type(psi))
-    if clause is not None:
-        rule, scope, _ = clause
-        _record(steps, "ann-" + rule, a, psi)
-        parts = []
-        if scope is None:
-            for c in children(psi):
-                parts.append(_tr_ann(a, c, steps, memo))
+class _Walk:
+    """The reduction walk of one rewrite call (see the module docstring).
+    A subclass gives the rule-name `PREFIX`, the modal step `related` and
+    `CLAUSES`, the clause of each node kind that is not a connective."""
+
+    PREFIX = ""
+
+    def __init__(self, steps, log=None, a: EventModel | None = None):
+        self.steps, self.log, self.a, self.memo = steps, log, a, {}
+
+    def reduce(self, ctx, pre: Formula, psi: Formula) -> Formula:
+        """`pre & t_ctx(psi)`, with psi's universal quantifiers expanded."""
+        prepared = expand_foralls(psi)
+        if prepared is not psi:
+            _record(self.steps, "expand-forall", ctx, psi)
+        return build(And, pre, self.walk(ctx, prepared, None))
+
+    def walk(self, ctx, psi: Formula, parent) -> Formula:
+        """t_ctx(psi): psi read at the product world of ctx, an event or an
+        announced formula, where ctx's precondition holds.  `parent` is the
+        caller's measure, None where a measured descent starts."""
+        m = (psi._facts.binders, psi._facts.size)
+        if parent is not None:
+            if self.log is not None:
+                self.log.append((parent, m))
+            if not m < parent:
+                raise ProdupdError(f"translation measure did not decrease: {parent} -> {m}")
+        steps = self.steps
+        done = self.memo.get((ctx, psi))
+        if done is not None:
+            out, start, end = done
+            if steps is not None:
+                steps.extend(steps[start:end])
+            return out
+        start = None if steps is None else len(steps)
+        cls = type(psi)
+        clause = _CONNECTIVES.get(cls)
+        if clause is None:
+            out = self.CLAUSES[cls](self, ctx, psi, m)
         else:
-            parts.append((a, _tr_ann(a, psi.body, steps, memo)))
-        out = _connect(psi, parts)
-    elif isinstance(psi, (Atom, Top, Bottom, Nominal)):
-        _record(steps, "ann-atom", a, psi)
-        out = psi
-    elif isinstance(psi, ExistsProp):
+            rule, scope, join = clause
+            _record(steps, self.PREFIX + rule, ctx, psi)
+            parts = []
+            if scope is None:
+                for c in children(psi):
+                    parts.append(self.walk(ctx, c, m))
+                out = build(cls, *parts)
+            else:
+                guard = Implies if join is And else And
+                for b, pre in self.related(ctx, scope):
+                    parts.append(build(cls, build(guard, pre, self.walk(b, psi.body, m))))
+                out = _join(join, parts)
+        self.memo[ctx, psi] = (out, start, None if steps is None else len(steps))
+        return out
+
+    def _atom(self, ctx, psi: Formula, m) -> Formula:
+        _record(self.steps, self.PREFIX + "atom", ctx, psi)
+        return psi
+
+    CLAUSES = {Atom: _atom, Top: _atom, Bottom: _atom}
+
+
+class _EventWalk(_Walk):
+    """`<alpha> psi` over the event model `a`: a context is an event."""
+
+    def related(self, alpha: str, scope: str):
+        a = self.a
+        return [(b, a.pre[b]) for b in a.events if scope == "every" or (alpha, b) in a.relation]
+
+    def _nominal(self, alpha: str, psi: Nominal, m) -> Formula:
+        match = psi.index == self.a.index_of(alpha)
+        _record(self.steps, "nominal-match" if match else "nominal-mismatch", alpha, psi)
+        return TOP if match else BOTTOM
+
+    def _quantifier(self, alpha: str, psi: ExistsProp, m) -> Formula:
+        _record(self.steps, "quantifier", alpha, psi)
+        a = self.a
+        avoid = set(all_props(psi))
+        for f in a.pre.values():
+            avoid |= all_props(f)
+        names = fresh_props(len(a.events), avoid)
+        tagged = _join(Or, [And(Atom(f), Nominal(i)) for i, f in enumerate(names)])
+        body = self.walk(alpha, substitute(psi.body, psi.var, tagged), m)
+        return _bind(zip(names, [a.pre[e] for e in a.events]), body)
+
+    CLAUSES = {**_Walk.CLAUSES, Nominal: _nominal, ExistsProp: _quantifier}
+
+
+class _AnnouncementWalk(_Walk):
+    """`<!a> psi`: a context is an announced formula, which steps to itself."""
+
+    PREFIX = "ann-"
+
+    def related(self, a: Formula, scope: str):
+        return ((a, a),)
+
+    def _quantifier(self, a: Formula, psi: ExistsProp, m) -> Formula:
         bound = psi
         if psi.var in free_props(a):
             bound = rename(psi, fresh_props(1, all_props(a) | all_props(psi))[0])
-            _record(steps, "alpha-rename", a, psi)
-        _record(steps, "ann-quantifier", a, psi)
-        out = _bind([(bound.var, a)], _tr_ann(a, bound.body, steps, memo))
-    elif isinstance(psi, Announce):
+            _record(self.steps, "alpha-rename", a, psi)
+        _record(self.steps, "ann-quantifier", a, psi)
+        return _bind([(bound.var, a)], self.walk(a, bound.body, m))
+
+    def _nested(self, a: Formula, psi: Announce, m) -> Formula:
         # rewrite the inner announcement first; the equivalence it produces
         # holds in every model, the relativised one included
-        _record(steps, "ann-nested", a, psi)
-        inner = build(And, psi.announced, _tr_ann(psi.announced, psi.body, steps, memo))
-        out = _tr_ann(a, inner, steps, memo)
-    else:
-        raise InputNotSentenceFragment(f"unsupported node {type(psi).__name__}")
-    memo[key] = (out, start, None if steps is None else len(steps))
+        _record(self.steps, "ann-nested", a, psi)
+        inner = build(And, psi.announced, self.walk(psi.announced, psi.body, m))
+        return self.walk(a, inner, None)
+
+    CLAUSES = {**_Walk.CLAUSES, Nominal: _Walk._atom, ExistsProp: _quantifier, Announce: _nested}
+
+
+def _bind(pairs, body: Formula) -> Formula:
+    """Both quantifier clauses' output: `exists f.` for each (f, pre) of
+    `pairs` over the guards `U (f -> pre)` and `body`, without the props
+    that `body` does not read unless pre can raise (see the module
+    docstring), and without the guards whose pre is `true`."""
+    kept = [(f, pre) for f, pre in pairs if f in body._facts.free or contains_node(pre, RAISING)]
+    guards = [Global(Implies(Atom(f), pre)) for f, pre in kept if pre is not TOP]
+    out = _join(And, guards + [body])
+    for f, _ in reversed(kept):
+        out = ExistsProp(f, out)
     return out
 
 

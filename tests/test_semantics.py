@@ -241,6 +241,42 @@ class TestErrors:
             with pytest.raises(UnknownEvent, match=f"^{message}$"):
                 translate_event(two_events(), "a0", phi.body)
 
+    @pytest.mark.parametrize(
+        "text,bad",
+        [
+            # evaluation never reaches the nominal, or reaches it first
+            ("(p & ~p) & j0", 0),
+            ("j0 & (p & ~p)", 0),
+            ("<!q> j0", 0),
+            # ceilings the search never evaluated, and the first nominal
+            # outside an event diamond, which comes after one inside
+            ("exists r. ((r & ~r) & j0)", 0),
+            ("forall r. ((<> (r & ~r) & j1) -> r)", 1),
+            ("<a0> j0 & (j1 | j0)", 1),
+        ],
+    )
+    def test_unscoped_nominal_is_refused(self, text, bad):
+        # a nominal outside every event diamond is refused before evaluation
+        # where the session cannot resolve it, on an empty model too
+        phi = parse_formula(text)
+        untagged = f"^nominal j{bad} evaluated on a model without event tags$"
+        empty = KripkeModel((), frozenset(), {})
+        for m, a in ((three_cycle(), None), (three_cycle(), two_events()), (empty, None)):
+            with pytest.raises(NominalOutsideProductContext, match=untagged):
+                Evaluator(m, events=a).extension(phi)
+        tagged = TaggedModel(three_cycle(), dict.fromkeys(("w0", "w1", "w2"), "a0"))
+        ev = Evaluator(tagged)
+        for call in (ev.extension, lambda f: ev.holds("w0", f)):
+            with pytest.raises(
+                NominalOutsideProductContext,
+                match=f"^nominal j{bad} needs an ambient event model to resolve$",
+            ):
+                call(phi)
+        # with an event model to resolve them, the tags decide
+        names = ("a0", "a1", "a2")
+        events = EventModel(names, frozenset(), dict.fromkeys(names, TOP))
+        Evaluator(tagged, events=events).extension(phi)
+
     def test_quantifier_world_budget(self):
         worlds = tuple(f"w{i}" for i in range(5))
         m = KripkeModel(worlds, frozenset(), {})
@@ -937,16 +973,14 @@ class TestNeighbourhoodEnumeration:
             "exists r. exists s. (<a0> [] (r | s) & ~r & ~s)",
             "exists r. exists s. (U (s -> r) & <> s & ~r)",
             "exists r. exists s. exists r. (<> r & s)",
-            # ceilings: a nominal in a product, where it resolves, and at
-            # the root, where it would raise and the body never reads it; a
-            # prop an outer binder bounds; and conjuncts that could raise,
-            # which are none (an index past the events raises before
-            # evaluation: `test_nominal_index_is_checked_before_evaluation`)
+            # ceilings: a nominal in a product, where it resolves; a prop
+            # an outer binder bounds; and conjuncts that could raise, which
+            # are none (a nominal that would not resolve is refused before
+            # evaluation: `test_nominal_index_is_checked_before_evaluation`
+            # and `test_unscoped_nominal_is_refused`)
             "<a1> (exists r. (<> r & j1 & ~r))",
             "<a1> (forall r. ((j1 & r) -> <> r))",
             "<a0> (forall r. ((<> r & ~j1) -> [] r))",
-            "exists r. ((r & ~r) & j0)",
-            "forall r. ((<> (r & ~r) & j1) -> r)",
             "exists s. (<> ~s & (exists r. (s & r & <> ~r)))",
             "exists s. (<> s & (forall r. ((s & r) -> <> r)))",
             "forall s. (s -> (exists r. (<> r & ~s & ~r)))",

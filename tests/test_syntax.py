@@ -61,6 +61,7 @@ from produpd.syntax import (
     is_positive_in,
     modal_depth,
     nu_encoding,
+    polarities,
     rebuild,
     replace_subformula,
     subformula_at,
@@ -287,9 +288,13 @@ class TestClassify:
 class TestPositivity:
     def test_even_negations(self):
         assert is_positive_in(Not(Not(p)), "p")
+        assert polarities(Implies(Not(p), q), "p") == {1}
+        assert polarities(Implies(p, q), "p") == {-1}
+        assert polarities(q, "p") == set()
 
     def test_announced_occurrence_blocks(self):
         assert not is_positive_in(Announce(p, q), "p")
+        assert polarities(Announce(p, q), "p") == {1, -1}
         assert is_positive_in(Announce(q, p), "p")
 
     def test_shadowing(self):
@@ -307,8 +312,9 @@ class TestPositivity:
         assert is_positive_in(ExistsProp("r", And(guard, p)), "p", skip)
         for scope in (ExistsProp("q", guard), ActionDiamond("a0", guard), Announce(q, guard)):
             assert not is_positive_in(And(p, scope), "p", skip)
-        assert is_positive_in(And(guard, Not(p)), "p", skip, positive=False)
-        assert not is_positive_in(And(guard, p), "p", skip, positive=False)
+        assert polarities(And(guard, Not(p)), "p", skip) == {-1}
+        assert polarities(And(guard, p), "p", skip) == {1}
+        assert polarities(And(guard, p), "p") == {1, -1}
 
 
 class TestTreeUtilities:
@@ -360,22 +366,21 @@ def ref_contains_node(phi, kinds):
     return any(ref_contains_node(c, kinds) for c in children(phi))
 
 
-def ref_polarity_ok(phi, var, positive):
+def ref_polarities(phi, var, sign=1):
+    """The signs of var's free occurrences, 1 under an even number of
+    negations and antecedents and -1 under an odd one; both for an
+    occurrence in an announced formula."""
     if isinstance(phi, Atom):
-        return positive if phi.name == var else True
+        return {sign} if phi.name == var else set()
     if isinstance(phi, Not):
-        return ref_polarity_ok(phi.body, var, not positive)
+        return ref_polarities(phi.body, var, -sign)
     if isinstance(phi, Implies):
-        return ref_polarity_ok(phi.left, var, not positive) and ref_polarity_ok(
-            phi.right, var, positive
-        )
+        return ref_polarities(phi.left, var, -sign) | ref_polarities(phi.right, var, sign)
     if isinstance(phi, _BINDERS):
-        return phi.var == var or ref_polarity_ok(phi.body, var, positive)
-    if isinstance(phi, Announce):
-        if var in ref_free_props(phi.announced):
-            return False
-        return ref_polarity_ok(phi.body, var, positive)
-    return all(ref_polarity_ok(c, var, positive) for c in children(phi))
+        return set() if phi.var == var else ref_polarities(phi.body, var, sign)
+    if isinstance(phi, Announce) and var in ref_free_props(phi.announced):
+        return {1, -1}
+    return set().union(*[ref_polarities(c, var, sign) for c in children(phi)])
 
 
 def ref_modal_depth(phi):
@@ -401,7 +406,7 @@ def ref_has_unscoped_nominal(phi, scoped=False):
 
 
 def ref_check_nu_positivity(phi):
-    if isinstance(phi, Nu) and not ref_polarity_ok(phi.body, phi.var, True):
+    if isinstance(phi, Nu) and -1 in ref_polarities(phi.body, phi.var):
         raise PositivityViolation(f"fixpoint body is not positive in {phi.var!r}")
     for c in children(phi):
         ref_check_nu_positivity(c)
@@ -449,8 +454,8 @@ def assert_facts_agree(phi):
         for kinds in KIND_QUERIES:
             assert contains_node(f, kinds) == ref_contains_node(f, kinds)
         for var in ("p", "q", "r", "s"):
-            assert is_positive_in(f, var) == ref_polarity_ok(f, var, True)
-            assert is_positive_in(f, var, positive=False) == ref_polarity_ok(f, var, False)
+            assert polarities(f, var) == ref_polarities(f, var)
+            assert is_positive_in(f, var) == (-1 not in ref_polarities(f, var))
         assert modal_depth(f) == ref_modal_depth(f)
         assert f._facts.nominals == ref_nominals_read(f)
         assert bool(f._facts.kinds & _UNSCOPED_BIT) == ref_has_unscoped_nominal(f)
